@@ -3,7 +3,8 @@
 # and a robustness gate over pathological inputs.
 #
 # `./ci.sh robustness` builds the release CLI and runs only the
-# robustness step; `./ci.sh check` likewise runs only the static-analysis
+# robustness step; `./ci.sh default-flags` runs only the no-flag matrix
+# (every subcommand on every pathological input, default budget); `./ci.sh check` likewise runs only the static-analysis
 # gate (`loopmem check` over every kernel and pathological input);
 # `./ci.sh scratchpad` runs only the shared-scratchpad sizing gate;
 # `./ci.sh chaos` runs only the fault-injection chaos-differential gate;
@@ -67,6 +68,47 @@ robustness_step() {
         echo "FAIL: robustness corpus took ${elapsed}s (budget: <10s)"
         return 1
     fi
+}
+
+# The default-flag claim: every subcommand on every pathological input,
+# with *no* flags, runs under the CLI's default iteration cap. Each run
+# must exit 0 or 1 (never a 101 panic exit or a timeout kill), print no
+# `panicked`, and finish within its per-run cap. `chaos` replays every
+# entry point under its whole fault matrix at three thread counts, so it
+# gets a wider cap than the single-pass subcommands.
+default_flags_step() {
+    echo "== default flags: every subcommand x pathological corpus, no flags =="
+    local start
+    start=$(date +%s)
+    local f cmd cap out code t0 ms failed=0
+    for f in tests/robustness/*.loop; do
+        for cmd in analyze check deps optimize simulate formulas print pipeline scratchpad verify trace chaos; do
+            cap=5
+            if [ "$cmd" = chaos ]; then cap=30; fi
+            t0=$(date +%s%N)
+            set +e
+            out="$(timeout "$((cap + 1))" ./target/release/loopmem "$cmd" "$f" 2>&1)"
+            code=$?
+            set -e
+            ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+            if [ "$code" -ne 0 ] && [ "$code" -ne 1 ]; then
+                echo "FAIL (exit $code): loopmem $cmd $f"
+                echo "$out" | tail -5
+                failed=1
+            elif grep -q "panicked" <<<"$out"; then
+                echo "FAIL (printed 'panicked'): loopmem $cmd $f"
+                echo "$out" | grep "panicked"
+                failed=1
+            elif [ "$ms" -ge $((cap * 1000)) ]; then
+                echo "FAIL (${ms}ms, cap ${cap}s): loopmem $cmd $f"
+                failed=1
+            else
+                printf 'ok   loopmem %-10s %-40s exit %d, %6d ms\n' "$cmd" "$f" "$code" "$ms"
+            fi
+        done
+    done
+    echo "default-flag matrix completed in $(( $(date +%s) - start ))s"
+    return "$failed"
 }
 
 # Runs `loopmem check --deny warnings --format json` on one file and
@@ -317,7 +359,7 @@ trace_step() {
     # A mangled counters line must be rejected — the recount is not a
     # rubber stamp.
     ./target/release/loopmem trace kernels/example8.loop --out "$tmp/ex8.ndjson" > /dev/null
-    sed 's/"memo_hits":1/"memo_hits":2/' "$tmp/ex8.ndjson" > "$tmp/ex8-tampered.ndjson"
+    sed 's/"certificates":6}/"certificates":7}/' "$tmp/ex8.ndjson" > "$tmp/ex8-tampered.ndjson"
     if cmp -s "$tmp/ex8.ndjson" "$tmp/ex8-tampered.ndjson"; then
         echo "FAIL: tamper sed matched nothing in example8's trace stream"
         rm -rf "$tmp"
@@ -344,6 +386,13 @@ if [ "${1:-}" = "robustness" ]; then
     cargo build --release --offline -p loopmem
     robustness_step
     echo "== ci (robustness only) passed =="
+    exit 0
+fi
+
+if [ "${1:-}" = "default-flags" ]; then
+    cargo build --release --offline -p loopmem
+    default_flags_step
+    echo "== ci (default flags only) passed =="
     exit 0
 fi
 
@@ -407,6 +456,8 @@ echo "== workspace tests =="
 cargo test -q --offline --workspace
 
 robustness_step
+
+default_flags_step
 
 check_step
 

@@ -10,13 +10,14 @@
 
 mod util;
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
-use loopmem_core::{branch_and_bound, two_level_objective};
+use loopmem_core::{try_branch_and_bound, two_level_objective};
+use loopmem_core::{SearchMode, Session};
 use loopmem_dep::legality::row_tileable;
 use loopmem_dep::{analyze, DependenceSet};
 use loopmem_ir::parse;
 use loopmem_linalg::gcd::gcd_i64;
 use loopmem_linalg::Rational;
+use loopmem_sim::AnalysisBudget;
 use util::bench;
 
 fn example8_deps() -> DependenceSet {
@@ -49,7 +50,7 @@ fn main() {
     println!("== leading-row search: branch & bound vs exhaustive ==");
     for bound in [4i64, 8, 16, 32, 64] {
         bench(&format!("branch_and_bound/{bound}"), || {
-            branch_and_bound((2, 5), &deps, (25, 10), bound)
+            try_branch_and_bound((2, 5), &deps, (25, 10), bound, &AnalysisBudget::unlimited())
         });
         bench(&format!("exhaustive/{bound}"), || {
             exhaustive((2, 5), &deps, bound)
@@ -61,14 +62,10 @@ fn main() {
         .expect("kernel exists")
         .nest();
     for top in [1usize, 4, 12, 24] {
-        bench(&format!("simulate_top/{top}"), || {
-            minimize_mws(
-                &nest,
-                SearchMode::Compound {
-                    max_coeff: 6,
-                    simulate_top: top,
-                },
-            )
+        let session = Session::new().search_mode(SearchMode::Compound {
+            max_coeff: 6,
+            simulate_top: top,
         });
+        bench(&format!("simulate_top/{top}"), || session.optimize(&nest));
     }
 }

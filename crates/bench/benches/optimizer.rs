@@ -10,18 +10,18 @@
 mod util;
 
 use loopmem_bench::all_kernels;
-use loopmem_core::optimize::{minimize_mws, SearchMode};
+use loopmem_core::{SearchMode, Session};
 use util::bench;
 
 fn main() {
-    println!("== minimize_mws: compound vs interchange+reversal ==");
+    println!("== Session::optimize: compound vs interchange+reversal ==");
+    let compound = Session::new();
+    let baseline = Session::new().search_mode(SearchMode::InterchangeReversal);
     for k in all_kernels() {
         let nest = k.nest();
-        bench(&format!("compound/{}", k.name), || {
-            minimize_mws(&nest, SearchMode::default())
-        });
+        bench(&format!("compound/{}", k.name), || compound.optimize(&nest));
         bench(&format!("interchange_reversal/{}", k.name), || {
-            minimize_mws(&nest, SearchMode::InterchangeReversal)
+            baseline.optimize(&nest)
         });
     }
 }

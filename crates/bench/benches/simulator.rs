@@ -8,17 +8,19 @@
 mod util;
 
 use loopmem_bench::all_kernels;
+use loopmem_core::Session;
 use loopmem_ir::parse;
-use loopmem_sim::{count_iterations, simulate};
+use loopmem_sim::count_iterations;
 use util::bench;
 
 fn main() {
-    println!("== simulate: paper kernels ==");
+    let session = Session::new();
+    println!("== Session::simulate: paper kernels ==");
     for k in all_kernels() {
         let nest = k.nest();
         let iters = count_iterations(&nest);
         bench(&format!("simulate/{} ({iters} its)", k.name), || {
-            simulate(&nest)
+            session.simulate(&nest)
         });
     }
 
@@ -28,6 +30,6 @@ fn main() {
             "array A[{n}][{n}]\nfor i = 2 to {n} {{ for j = 1 to {n} {{ A[i][j] = A[i-1][j] + A[i][j]; }} }}"
         );
         let nest = parse(&src).expect("scaling kernel parses");
-        bench(&format!("simulate_scaling/{n}"), || simulate(&nest));
+        bench(&format!("simulate_scaling/{n}"), || session.simulate(&nest));
     }
 }

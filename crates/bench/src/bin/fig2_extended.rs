@@ -1,6 +1,6 @@
 //! Figure 2 methodology applied to the extended kernel suite (generality
 //! check beyond the paper's seven codes).
-use loopmem_core::optimize::{minimize_mws, SearchMode};
+use loopmem_core::Session;
 
 fn main() {
     println!("Extended suite — default vs MWS before/after optimization");
@@ -10,7 +10,7 @@ fn main() {
     );
     for k in loopmem_bench::extended_kernels() {
         let nest = k.nest();
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+        let opt = Session::new().optimize(&nest).expect("search succeeds");
         let default = nest.default_memory();
         let pct = |v: u64| 100.0 * (1.0 - v as f64 / default as f64);
         println!(

@@ -1,7 +1,7 @@
 //! Dependency-free performance suite for the `loopmem` workspace.
 //!
 //! Times the simulator (dense engine vs the legacy hashmap engine, 1..=N
-//! worker threads), the per-iteration profile, each optimizer search mode
+//! worker threads, every engine run through a `loopmem_core::Session`), the per-iteration profile, each optimizer search mode
 //! on the paper kernels plus two ≥10⁷-iteration synthetic nests, and the
 //! sharded program-batch engine (per-nest serial baselines vs the
 //! whole-program sharded path). Prints a table and writes
@@ -21,16 +21,12 @@
 //! skipped with a note — they would only report scheduler noise.
 
 use loopmem_bench::all_kernels;
-use loopmem_core::optimize::{minimize_mws_with_threads, SearchMode};
-use loopmem_core::{
-    optimize_program_with_threads, scratchpad_program_with_threads, scratchpad_with_fusion,
-};
+use loopmem_core::{SearchMode, Session};
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
 use loopmem_obs::NullSink;
 use loopmem_sim::{
-    bench_pass1, bench_pass1_interleaved, simulate_hashmap, simulate_program_with_threads,
-    simulate_with_profile, simulate_with_threads, thread_count, try_simulate,
-    try_simulate_with_threads, AnalysisBudget,
+    bench_pass1, bench_pass1_interleaved, simulate_hashmap, thread_count, AnalysisBudget,
+    ProgramSimResult, SimResult,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -65,6 +61,31 @@ fn time_median3<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     (v[1], out)
 }
 
+/// Exact simulation on `threads` workers through an unlimited session.
+fn simulate(nest: &LoopNest, threads: usize) -> SimResult {
+    Session::new()
+        .threads(threads)
+        .simulate(nest)
+        .expect("bench nests simulate exactly")
+}
+
+/// [`simulate`] recording the per-iteration window profile (auto threads).
+fn simulate_profiled(nest: &LoopNest) -> SimResult {
+    Session::new()
+        .profile(true)
+        .simulate(nest)
+        .expect("bench nests simulate exactly")
+}
+
+/// Exact whole-program simulation on `threads` workers.
+fn simulate_program(program: &Program, threads: usize) -> ProgramSimResult {
+    Session::new()
+        .threads(threads)
+        .simulate_program(program)
+        .expect("bench programs fit the fold")
+        .sim
+}
+
 fn synthetic_stream(smoke: bool) -> LoopNest {
     // Element-heavy row stencil: ~12M iterations (~1M distinct elements),
     // the dense engine's best case against per-access hashing.
@@ -90,7 +111,7 @@ fn synthetic_reuse(smoke: bool) -> LoopNest {
 
 /// Multi-nest batch workload: a four-phase pipeline over shared arrays.
 /// Nest 2 repeats nest 0's kernel under different loop-variable names
-/// (exercising the canonical-key memo), and nest 1 is triangular
+/// (under renamed loop variables), and nest 1 is triangular
 /// (exercising volume-balanced chunking inside a nest).
 fn synthetic_program(smoke: bool) -> Program {
     let n = if smoke { 60 } else { 400 };
@@ -277,7 +298,7 @@ fn main() {
     // --- paper kernels: dense vs hashmap, plus the profile variant -------
     for k in all_kernels() {
         let nest = k.nest();
-        let (ms, s) = time_median3(|| simulate_with_threads(&nest, false, 1));
+        let (ms, s) = time_median3(|| simulate(&nest, 1));
         record(
             &mut rows,
             "simulate",
@@ -297,7 +318,7 @@ fn main() {
             s.iterations,
             Some(s.mws_total),
         );
-        let (ms, s) = time_median3(|| simulate_with_profile(&nest));
+        let (ms, s) = time_median3(|| simulate_profiled(&nest));
         record(
             &mut rows,
             "simulate-profile",
@@ -328,7 +349,7 @@ fn main() {
             Some(s.mws_total),
         );
         for &threads in &sweep {
-            let (ms, s) = time_median3(|| simulate_with_threads(&nest, false, threads));
+            let (ms, s) = time_median3(|| simulate(&nest, threads));
             assert_eq!(s.mws_total, baseline, "engines disagree on {name}");
             record(
                 &mut rows,
@@ -341,7 +362,7 @@ fn main() {
             );
             speedups.push((format!("{name}_dense{threads}t_vs_hashmap"), hash_ms / ms));
         }
-        let (profile_ms, s) = time_ms(|| simulate_with_profile(&nest));
+        let (profile_ms, s) = time_ms(|| simulate_profiled(&nest));
         record(
             &mut rows,
             "simulate-profile",
@@ -384,7 +405,7 @@ fn main() {
         // without the batch API would take).
         let mut nests_total_ms = 0.0;
         for (k, nest) in program.nests().iter().enumerate() {
-            let (ms, s) = time_ms(|| simulate_with_threads(nest, false, 1));
+            let (ms, s) = time_ms(|| simulate(nest, 1));
             nests_total_ms += ms;
             record(
                 &mut rows,
@@ -400,7 +421,7 @@ fn main() {
         let mut program_1t_ms = f64::NAN;
         let mut baseline_mws = None;
         for &threads in &sweep {
-            let (ms, s) = time_ms(|| simulate_program_with_threads(&program, threads));
+            let (ms, s) = time_ms(|| simulate_program(&program, threads));
             let iters: u64 = s.per_nest_iterations.iter().sum();
             match baseline_mws {
                 None => baseline_mws = Some(s.mws_total),
@@ -430,7 +451,7 @@ fn main() {
             nests_total_ms / program_1t_ms,
         ));
         // Batch optimizer over a program that repeats Example 7 under
-        // renamed variables: the shared memo pays for the search once.
+        // renamed variables.
         let opt_program = parse_program(
             "array X[100]\n\
              for i = 1 to 20 { for j = 1 to 30 { X[2i - 3j]; } }\n\
@@ -439,9 +460,11 @@ fn main() {
         .expect("optimizer program parses");
         for &threads in &sweep {
             let (ms, r) = time_ms(|| {
-                optimize_program_with_threads(&opt_program, SearchMode::default(), threads)
+                Session::new()
+                    .threads(threads)
+                    .optimize_program(&opt_program)
             });
-            let mws = r.as_ref().ok().map(|o| o.mws_after);
+            let mws = r.as_ref().ok().map(|o| o.mws_after.upper);
             record(
                 &mut rows,
                 "optimize-program",
@@ -462,8 +485,14 @@ fn main() {
         let program = synthetic_program(smoke);
         let mut baseline_words = None;
         for &threads in &sweep {
-            let (ms, s) = time_median3(|| scratchpad_program_with_threads(&program, threads));
-            let iters: u64 = simulate_program_with_threads(&program, threads)
+            let (ms, s) = time_median3(|| {
+                Session::new()
+                    .threads(threads)
+                    .scratchpad_sizing(&program)
+                    .expect("pipeline sizes")
+                    .sizing
+            });
+            let iters: u64 = simulate_program(&program, threads)
                 .per_nest_iterations
                 .iter()
                 .sum();
@@ -491,7 +520,13 @@ fn main() {
             m = n + 1,
         ))
         .expect("producer/consumer parses");
-        let (ms, plan) = time_median3(|| scratchpad_with_fusion(&pc, 1));
+        let (ms, plan) = time_median3(|| {
+            let (_, plan) = Session::new()
+                .threads(1)
+                .scratchpad(&pc)
+                .expect("pair sizes");
+            plan.expect("exact baseline runs the fusion search")
+        });
         assert!(
             plan.fused.words < plan.unfused.words,
             "fusion must shrink the producer/consumer scratchpad"
@@ -520,7 +555,8 @@ fn main() {
             ("interchange-reversal", SearchMode::InterchangeReversal),
             ("li-pingali", SearchMode::LiPingali),
         ] {
-            let (ms, r) = time_median3(|| minimize_mws_with_threads(&nest, mode, nthreads));
+            let session = Session::new().threads(nthreads).search_mode(mode);
+            let (ms, r) = time_median3(|| session.optimize(&nest));
             let mws = r.as_ref().ok().map(|o| o.mws_after);
             record(
                 &mut rows,
@@ -544,7 +580,11 @@ fn main() {
         )
         .expect("pathological nest parses");
         let budget = AnalysisBudget::unlimited().with_max_iterations(1_000_000);
-        let (ms, r) = time_ms(|| try_simulate(&pathological, &budget));
+        let (ms, r) = time_ms(|| {
+            Session::new()
+                .budget(budget.clone())
+                .simulate(&pathological)
+        });
         let (outcome, mws) = match &r {
             Ok(s) => ("exact", Some(s.mws_total)),
             Err(loopmem_ir::AnalysisError::Exhausted { partial, .. }) => {
@@ -578,12 +618,12 @@ fn main() {
     {
         let nest = synthetic_reuse(smoke);
         let repeats: u32 = if smoke { 16 } else { 2 };
-        let plain_budget = AnalysisBudget::unlimited();
-        let null_budget = AnalysisBudget::unlimited().with_trace(Arc::new(NullSink));
-        let run = |budget: &AnalysisBudget| {
+        let plain = Session::new().threads(1);
+        let null = Session::new().threads(1).trace(Arc::new(NullSink));
+        let run = |session: &Session| {
             let mut last = None;
             for _ in 0..repeats {
-                last = Some(try_simulate_with_threads(&nest, false, 1, budget));
+                last = Some(session.simulate(&nest));
             }
             last.unwrap().expect("unlimited budget is exact")
         };
@@ -595,10 +635,10 @@ fn main() {
         let mut null_ms = f64::INFINITY;
         let mut answers = (None, None);
         for _ in 0..5 {
-            let (ms, s) = time_ms(|| run(&plain_budget));
+            let (ms, s) = time_ms(|| run(&plain));
             plain_ms = plain_ms.min(ms);
             answers.0 = Some(s);
-            let (ms, s) = time_ms(|| run(&null_budget));
+            let (ms, s) = time_ms(|| run(&null));
             null_ms = null_ms.min(ms);
             answers.1 = Some(s);
         }
@@ -628,11 +668,6 @@ fn main() {
         );
         speedups.push(("trace_overhead".to_string(), plain_ms / null_ms));
     }
-
-    let (hits, misses) = loopmem_core::optimize::memo_stats();
-    println!();
-    println!("optimizer memo: {hits} hits / {misses} misses");
-    speedups.push(("optimizer_memo_hits".to_string(), hits as f64));
 
     write_json(&out_path, &rows, &speedups, nthreads, avail);
     println!("wrote {}", out_path.display());

@@ -14,9 +14,9 @@
 //! as JSON (the in-tree parser rejects `NaN`/`Infinity` outright); every
 //! event line names a known event kind and a well-formed `(epoch, seq)`
 //! ord; and the trailing counters line agrees with an independent
-//! recount of the event lines — e.g. `memo_hits + memo_misses` must
-//! equal `memo_lookups`, and `charged_iterations` must equal the sum of
-//! the poll deltas.
+//! recount of the event lines — e.g. `certificates` must equal the
+//! number of certificate events, and `charged_iterations` must equal the
+//! sum of the poll deltas.
 
 use loopmem_analyze::json::{parse_json, Json};
 use std::process::ExitCode;
@@ -27,7 +27,6 @@ const EVENTS: &[&str] = &[
     "span-end",
     "poll",
     "chunk-commit",
-    "memo-lookup",
     "cone-prune",
     "fault-trip",
     "salvage",
@@ -46,9 +45,6 @@ struct Recount {
     charged_iterations: u64,
     chunks_committed: u64,
     chunk_iterations: u64,
-    memo_lookups: u64,
-    memo_hits: u64,
-    memo_misses: u64,
     cone_boxes: u64,
     fault_trips: u64,
     salvages: u64,
@@ -151,9 +147,6 @@ fn check_file(path: &str) -> Result<String, Vec<String>> {
         charged_iterations: u64_field(counters, "charged_iterations").unwrap_or(u64::MAX),
         chunks_committed: u64_field(counters, "chunks_committed").unwrap_or(u64::MAX),
         chunk_iterations: u64_field(counters, "chunk_iterations").unwrap_or(u64::MAX),
-        memo_lookups: u64_field(counters, "memo_lookups").unwrap_or(u64::MAX),
-        memo_hits: u64_field(counters, "memo_hits").unwrap_or(u64::MAX),
-        memo_misses: u64_field(counters, "memo_misses").unwrap_or(u64::MAX),
         cone_boxes: u64_field(counters, "cone_boxes").unwrap_or(u64::MAX),
         fault_trips: u64_field(counters, "fault_trips").unwrap_or(u64::MAX),
         salvages: u64_field(counters, "salvages").unwrap_or(u64::MAX),
@@ -164,12 +157,6 @@ fn check_file(path: &str) -> Result<String, Vec<String>> {
     if declared != recount {
         problems.push(format!(
             "counters line disagrees with the event stream:\n  declared {declared:?}\n  recount  {recount:?}"
-        ));
-    }
-    if recount.memo_hits + recount.memo_misses != recount.memo_lookups {
-        problems.push(format!(
-            "memo_hits {} + memo_misses {} != memo_lookups {}",
-            recount.memo_hits, recount.memo_misses, recount.memo_lookups
         ));
     }
 
@@ -196,13 +183,6 @@ fn tally(c: &mut Recount, name: &str, e: &Json) {
         "chunk-commit" => {
             c.chunks_committed += 1;
             c.chunk_iterations += u64_field(e, "iters").unwrap_or(0);
-        }
-        "memo-lookup" => {
-            c.memo_lookups += 1;
-            match e.get("hit") {
-                Some(Json::Bool(true)) => c.memo_hits += 1,
-                _ => c.memo_misses += 1,
-            }
         }
         "cone-prune" => c.cone_boxes += u64_field(e, "boxes").unwrap_or(0),
         "fault-trip" => c.fault_trips += 1,

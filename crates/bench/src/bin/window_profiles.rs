@@ -2,8 +2,7 @@
 //! kernel over execution, before and after optimization — the dynamic view
 //! behind Figure 2's static MWS numbers.
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
-use loopmem_sim::simulate_with_profile;
+use loopmem_core::Session;
 
 fn sparkline(profile: &[u64], width: usize) -> String {
     if profile.is_empty() {
@@ -31,9 +30,12 @@ fn main() {
     println!("Reference-window profiles (peak = the MWS; 64-char sparklines)\n");
     for k in loopmem_bench::all_kernels() {
         let nest = k.nest();
-        let before = simulate_with_profile(&nest);
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
-        let after = simulate_with_profile(&opt.transformed);
+        let session = Session::new().profile(true);
+        let before = session.simulate(&nest).expect("kernels simulate");
+        let opt = session.optimize(&nest).expect("search succeeds");
+        let after = session
+            .simulate(&opt.transformed)
+            .expect("kernels simulate");
         let pb = before.profile.expect("profile");
         let pa = after.profile.expect("profile");
         println!(

@@ -5,13 +5,22 @@
 //! output next to the paper's numbers.
 
 use crate::kernels::all_kernels;
-use loopmem_core::optimize::{minimize_mws, OptimizeError, SearchMode};
-use loopmem_core::{analyze_memory, two_level_objective};
+use loopmem_core::{analyze_memory, two_level_objective, Optimization, SearchMode, Session};
 use loopmem_dep::analyze;
-use loopmem_ir::{parse, LoopNest};
+use loopmem_ir::{parse, AnalysisError, LoopNest};
 use loopmem_linalg::IMat;
-use loopmem_sim::simulate;
+use loopmem_sim::SimResult;
 use std::fmt;
+
+/// Exact simulation of one of the paper's (small, trusted) nests.
+fn simulate(nest: &LoopNest) -> SimResult {
+    Session::new().simulate(nest).expect("paper nests simulate")
+}
+
+/// The §4 search in `mode`.
+fn search(nest: &LoopNest, mode: SearchMode) -> Result<Optimization, AnalysisError> {
+    Session::new().search_mode(mode).optimize(nest)
+}
 
 // ---------------------------------------------------------------- fig 2 --
 
@@ -67,8 +76,8 @@ pub fn figure2() -> Fig2 {
         .into_iter()
         .map(|k| {
             let nest = k.nest();
-            let opt = minimize_mws(&nest, SearchMode::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+            let opt =
+                search(&nest, SearchMode::default()).unwrap_or_else(|e| panic!("{}: {e}", k.name));
             Fig2Row {
                 name: k.name,
                 default_words: nest.default_memory(),
@@ -313,7 +322,7 @@ pub struct Ex8Study {
     /// The chosen transformation.
     pub transform: IMat,
     /// The Li–Pingali baseline's outcome (paper: no legal completion).
-    pub li_pingali: Result<u64, OptimizeError>,
+    pub li_pingali: Result<u64, String>,
     /// The interchange/reversal baseline's best MWS (paper: unchanged).
     pub interchange_reversal: u64,
 }
@@ -325,10 +334,14 @@ pub fn example8_study() -> Ex8Study {
     )
     .unwrap();
     let deps = analyze(&nest);
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("compound search succeeds");
-    let li = minimize_mws(&nest, SearchMode::LiPingali).map(|o| o.mws_after);
-    let ir =
-        minimize_mws(&nest, SearchMode::InterchangeReversal).expect("identity is always available");
+    let opt = search(&nest, SearchMode::default()).expect("compound search succeeds");
+    let li = search(&nest, SearchMode::LiPingali)
+        .map(|o| o.mws_after)
+        .map_err(|e| match e {
+            AnalysisError::Invalid { message } => message,
+            other => other.to_string(),
+        });
+    let ir = search(&nest, SearchMode::InterchangeReversal).expect("identity is always available");
     Ex8Study {
         distances: deps.distances(true),
         objective_at_optimum: two_level_objective((2, 5), (2, 3), (25, 10)),
@@ -393,7 +406,7 @@ pub fn example10_study() -> Ex10Study {
     let reuse = loopmem_dep::reuse_vectors(&nest)[0].1.clone();
     let estimate = loopmem_core::three_level_estimate((reuse[0], reuse[1], reuse[2]), (10, 20, 30));
     let exact_before = simulate(&nest).mws_total;
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = search(&nest, SearchMode::default()).expect("search succeeds");
     Ex10Study {
         reuse_vector: reuse,
         estimate,
@@ -447,7 +460,7 @@ pub fn accuracy_table() -> Vec<AccuracyRow> {
         .into_iter()
         .map(|k| {
             let nest = k.nest();
-            let m = analyze_memory(&nest);
+            let m = analyze_memory(&Session::new(), &nest).expect("paper kernels simulate");
             let improved: i64 = loopmem_core::estimate_distinct_exact(&nest)
                 .values()
                 .map(|e| e.upper)

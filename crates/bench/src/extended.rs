@@ -78,8 +78,13 @@ pub fn extended_kernels() -> Vec<Kernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loopmem_core::optimize::{minimize_mws, SearchMode};
-    use loopmem_sim::simulate;
+    use loopmem_core::Session;
+    use loopmem_ir::LoopNest;
+    use loopmem_sim::SimResult;
+
+    fn simulate(nest: &LoopNest) -> SimResult {
+        Session::new().simulate(nest).unwrap()
+    }
 
     #[test]
     fn extended_kernels_parse_and_analyze() {
@@ -109,7 +114,7 @@ mod tests {
         // (or two columns, or two anti-diagonals) of A live in every
         // order, so the optimizer correctly reports no improvement.
         let nest = JACOBI_2D.nest();
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+        let opt = Session::new().optimize(&nest).expect("search succeeds");
         assert_eq!(opt.mws_before, 44); // ~2 rows of the 22-wide interior
         assert_eq!(opt.mws_after, opt.mws_before);
     }
@@ -129,7 +134,7 @@ mod tests {
     fn optimizer_never_regresses_on_extended_suite() {
         for k in extended_kernels() {
             let nest = k.nest();
-            let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+            let opt = Session::new().optimize(&nest).expect("search succeeds");
             assert!(opt.mws_after <= opt.mws_before, "{}", k.name);
         }
     }

@@ -212,7 +212,9 @@ mod tests {
     #[test]
     fn matmult_mws_is_273() {
         // The one cell of Figure 2 that is fully pinned by the scan.
-        let s = loopmem_sim::simulate(&MATMULT.nest());
+        let s = loopmem_core::Session::new()
+            .simulate(&MATMULT.nest())
+            .unwrap();
         assert_eq!(s.mws_total, 273);
     }
 

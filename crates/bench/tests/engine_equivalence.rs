@@ -3,9 +3,21 @@
 //! count, and the parallel optimizer must match its serial path exactly.
 
 use loopmem_bench::all_kernels;
-use loopmem_core::optimize::{minimize_mws_with_threads, SearchMode};
-use loopmem_ir::parse;
-use loopmem_sim::{simulate_hashmap_with_profile, simulate_with_threads, SimResult};
+use loopmem_core::{Optimization, Session};
+use loopmem_ir::{parse, AnalysisError, LoopNest};
+use loopmem_sim::{simulate_hashmap_with_profile, SimResult};
+
+fn simulate_pinned(nest: &LoopNest, threads: usize) -> SimResult {
+    Session::new()
+        .threads(threads)
+        .profile(true)
+        .simulate(nest)
+        .expect("kernels simulate exactly")
+}
+
+fn search_pinned(nest: &LoopNest, threads: usize) -> Result<Optimization, AnalysisError> {
+    Session::new().threads(threads).optimize(nest)
+}
 
 fn assert_same(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.iterations, b.iterations, "{what}: iterations");
@@ -19,7 +31,7 @@ fn dense_engine_matches_hashmap_on_every_kernel() {
     for k in all_kernels() {
         let nest = k.nest();
         let legacy = simulate_hashmap_with_profile(&nest);
-        let dense = simulate_with_threads(&nest, true, 1);
+        let dense = simulate_pinned(&nest, 1);
         assert_same(&dense, &legacy, k.name);
     }
 }
@@ -28,9 +40,9 @@ fn dense_engine_matches_hashmap_on_every_kernel() {
 fn thread_count_is_invisible_on_every_kernel() {
     for k in all_kernels() {
         let nest = k.nest();
-        let one = simulate_with_threads(&nest, true, 1);
+        let one = simulate_pinned(&nest, 1);
         for threads in [2, 3, 4, 8] {
-            let n = simulate_with_threads(&nest, true, threads);
+            let n = simulate_pinned(&nest, threads);
             assert_same(&n, &one, &format!("{} x{}", k.name, threads));
         }
     }
@@ -67,10 +79,10 @@ fn paper_examples() -> Vec<(&'static str, &'static str)> {
 fn compound_search_is_deterministic_across_thread_counts() {
     for (name, src) in paper_examples() {
         let nest = parse(src).unwrap();
-        let serial = minimize_mws_with_threads(&nest, SearchMode::default(), 1)
-            .unwrap_or_else(|e| panic!("{name}: serial search failed: {e}"));
+        let serial =
+            search_pinned(&nest, 1).unwrap_or_else(|e| panic!("{name}: serial search failed: {e}"));
         for threads in [2, 4, 8] {
-            let par = minimize_mws_with_threads(&nest, SearchMode::default(), threads)
+            let par = search_pinned(&nest, threads)
                 .unwrap_or_else(|e| panic!("{name}: parallel search failed: {e}"));
             assert_eq!(
                 par.transform, serial.transform,
@@ -92,18 +104,14 @@ fn compound_search_is_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn memoization_reports_hits_on_repeated_search() {
+fn repeated_search_is_reproducible() {
+    // No state survives between searches: a repeat charges the same work
+    // and returns the identical answer.
     let nest = parse(
         "array X[300]\nfor i = 1 to 23 { for j = 1 to 19 { X[4i - 5j + 100] = X[4i - 5j + 96]; } }",
     )
     .unwrap();
-    let first = minimize_mws_with_threads(&nest, SearchMode::default(), 2).unwrap();
-    let again = minimize_mws_with_threads(&nest, SearchMode::default(), 2).unwrap();
-    assert!(first.cache_hits > 0, "identity candidate must hit the memo");
-    assert!(
-        again.cache_hits > first.cache_hits,
-        "repeat must be mostly cached"
-    );
-    assert_eq!(again.transform, first.transform);
-    assert_eq!(again.mws_after, first.mws_after);
+    let first = search_pinned(&nest, 2).unwrap();
+    let again = search_pinned(&nest, 2).unwrap();
+    assert_eq!(format!("{again:?}"), format!("{first:?}"));
 }

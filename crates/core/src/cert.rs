@@ -29,7 +29,7 @@ fn rows_of(t: &IMat) -> Vec<Vec<i64>> {
     t.rows_iter().map(<[i64]>::to_vec).collect()
 }
 
-/// Certificates for a successful [`minimize_mws`](crate::minimize_mws)-family
+/// Certificates for a successful [`Session::optimize`](crate::Session::optimize)
 /// answer on `nest` (program position `nest_index`): one legality
 /// certificate for the winner, one optimality certificate over the
 /// evaluated frontier, and one exact bounds certificate pinning the
@@ -234,8 +234,7 @@ pub fn trace_certificates(sink: &Arc<dyn TraceSink>, certs: &[Certificate]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize::{minimize_mws, SearchMode};
-    use crate::scratchpad::{scratchpad_with_fusion, try_scratchpad_program};
+    use crate::Session;
     use loopmem_ir::{parse, parse_program};
     use loopmem_sim::AnalysisBudget;
     use loopmem_verify::check_certificates;
@@ -251,7 +250,7 @@ mod tests {
     #[test]
     fn optimizer_answers_carry_valid_certificates() {
         let nest = example8();
-        let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+        let opt = Session::new().optimize(&nest).unwrap();
         let certs = certify_optimization(0, &nest, &opt);
         assert_eq!(certs.len(), 3);
         let program = loopmem_ir::Program::new(vec![nest]).unwrap();
@@ -270,7 +269,15 @@ mod tests {
         )
         .unwrap();
         let deps = loopmem_dep::analyze(&nest);
-        let r = crate::bnb::branch_and_bound((1, 2), &deps, (98, 81), 8).unwrap();
+        let r = crate::bnb::try_branch_and_bound(
+            (1, 2),
+            &deps,
+            (98, 81),
+            8,
+            &AnalysisBudget::unlimited(),
+        )
+        .unwrap()
+        .unwrap();
         let cert = certify_bnb(0, 8, &r).expect("rank-1 cone must certify its prunes");
         let program = loopmem_ir::Program::new(vec![nest]).unwrap();
         assert_eq!(check_certificates(&program, &[cert]), vec![]);
@@ -280,7 +287,9 @@ mod tests {
     fn degraded_outcomes_yield_checkable_bounds() {
         let nest = example8();
         let budget = AnalysisBudget::unlimited().with_max_iterations(10);
-        let e = crate::optimize::try_minimize_mws(&nest, SearchMode::default(), &budget)
+        let e = Session::new()
+            .budget(budget)
+            .optimize(&nest)
             .expect_err("ten iterations cannot cover 250");
         let cert = certify_degraded(0, &nest, &e);
         let program = loopmem_ir::Program::new(vec![nest]).unwrap();
@@ -295,9 +304,9 @@ mod tests {
              for i = 1 to 16 { for j = 1 to 16 { C[i][j] = A[i][j] + A[i][j]; } }",
         )
         .unwrap();
-        let plan = scratchpad_with_fusion(&program, 1);
+        let (governed, plan) = Session::new().threads(1).scratchpad(&program).unwrap();
+        let plan = plan.expect("exact baseline runs the fusion search");
         let mut certs = vec![certify_sizing(&plan.unfused), certify_fusion(&plan)];
-        let governed = try_scratchpad_program(&program, &AnalysisBudget::unlimited()).unwrap();
         certs.extend(certify_governed_scratchpad(&governed));
         assert_eq!(check_certificates(&program, &certs), vec![]);
     }

@@ -50,13 +50,10 @@ use std::sync::Arc;
 use loopmem_ir::{parse_program, AnalysisError, Bounds, BoundsMethod, LoopNest, Program};
 use loopmem_linalg::rng::Lcg;
 use loopmem_obs::{CollectingSink, TraceSink};
-use loopmem_sim::{
-    try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget, CancelToken,
-    FaultKind, FaultPlan, INJECTED_PANIC,
-};
+use loopmem_sim::{AnalysisBudget, CancelToken, FaultKind, FaultPlan, INJECTED_PANIC};
 
-use crate::optimize::{try_minimize_mws_with_threads, SearchMode};
-use crate::scratchpad::try_scratchpad_program_with_threads;
+use crate::optimize::SearchMode;
+use crate::Session;
 
 /// Iteration cap for each chaos case: big enough that the small kernels
 /// complete exactly and every injected fault threshold (at most 16 poll
@@ -98,13 +95,13 @@ impl ChaosReport {
 /// Which governed entry point a case drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
-    /// `try_simulate_with_threads` on the program's first nest.
+    /// [`Session::simulate`] on the program's first nest.
     Simulate,
-    /// `try_minimize_mws_with_threads` on the program's first nest.
+    /// [`Session::optimize`] on the program's first nest.
     Optimize,
-    /// `try_simulate_program_with_threads` on the whole program.
+    /// [`Session::simulate_program`] on the whole program.
     Pipeline,
-    /// `try_scratchpad_program_with_threads` on the whole program.
+    /// [`Session::scratchpad_sizing`] on the whole program.
     Scratchpad,
 }
 
@@ -245,6 +242,7 @@ fn run_case(
     if let Some(sink) = trace {
         budget = budget.with_trace(sink.clone());
     }
+    let session = Session::new().threads(threads).budget(budget);
     // Each arm yields (canon, pool claim, errors to fold). Per-nest
     // degradations inside Ok payloads are errors too: their salvage, panic
     // and trip facts feed the oracles. A nest-0 degradation inside the
@@ -256,7 +254,7 @@ fn run_case(
         match entry {
             Entry::Simulate => {
                 let nest = nest0.expect("simulate entry requires a nest");
-                match try_simulate_with_threads(nest, false, threads, &budget) {
+                match session.simulate(nest) {
                     Ok(sim) => {
                         let mut per: Vec<(usize, u64, u64, u64)> = sim
                             .per_array
@@ -288,9 +286,7 @@ fn run_case(
                 // candidate evaluation, error normalization — is identical
                 // to the compound mode's.
                 let mode = SearchMode::InterchangeReversal;
-                match try_minimize_mws_with_threads(nest, mode, threads, &budget) {
-                    // `cache_hits` is volatile by contract (always 0 on the
-                    // governed path) and excluded from the canonical form.
+                match session.clone().search_mode(mode).optimize(nest) {
                     Ok(opt) => (
                         format!(
                             "ok before={} after={} considered={} transform={:?}",
@@ -306,7 +302,7 @@ fn run_case(
                     ),
                 }
             }
-            Entry::Pipeline => match try_simulate_program_with_threads(program, threads, &budget) {
+            Entry::Pipeline => match session.simulate_program(program) {
                 Ok(gov) => {
                     let per: Vec<String> = gov
                         .per_nest
@@ -354,7 +350,7 @@ fn run_case(
                 ),
             },
             Entry::Scratchpad => {
-                match try_scratchpad_program_with_threads(program, threads, &budget) {
+                match session.scratchpad_sizing(program) {
                     Ok(gov) => {
                         let per: Vec<String> = gov
                             .per_nest
@@ -464,20 +460,22 @@ pub fn chaos_program(name: &str, program: &Program, seed: u64) -> ChaosReport {
     // Fault-free exact baselines (oracle 2's ground truth). Each may be
     // unobtainable (the corpus includes astronomically large nests); the
     // intersection oracle still applies then.
-    let exact_budget = AnalysisBudget::unlimited().with_max_iterations(EXACT_ITER_CAP);
+    let exact = Session::new()
+        .threads(1)
+        .budget(AnalysisBudget::unlimited().with_max_iterations(EXACT_ITER_CAP));
     let exact_nest0 = nest0.and_then(|n| {
         report.runs += 1;
-        try_simulate_with_threads(n, false, 1, &exact_budget)
-            .ok()
-            .map(|s| s.mws_total)
+        exact.simulate(n).ok().map(|s| s.mws_total)
     });
     report.runs += 1;
-    let exact_program = try_simulate_program_with_threads(program, 1, &exact_budget)
+    let exact_program = exact
+        .simulate_program(program)
         .ok()
         .filter(|g| g.all_exact())
         .map(|g| g.sim.mws_total);
     report.runs += 1;
-    let exact_words = try_scratchpad_program_with_threads(program, 1, &exact_budget)
+    let exact_words = exact
+        .scratchpad_sizing(program)
         .ok()
         .filter(|g| g.words.is_exact())
         .map(|g| g.words.lower);

@@ -170,8 +170,8 @@ fn check_legality(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::exact_program as simulate_program;
     use loopmem_ir::parse_program;
-    use loopmem_sim::simulate_program;
 
     fn producer_consumer() -> Program {
         parse_program(

@@ -26,15 +26,21 @@
 //! * [`transform`] — applies a unimodular matrix to a nest, regenerating
 //!   bounds by Fourier–Motzkin and rewriting every reference;
 //! * [`optimize`] — the compound-transformation search (branch-and-bound
-//!   over the leading row, unimodular completion, exact re-evaluation),
+//!   over the leading row, unimodular completion, exact re-evaluation,
+//!   reached through [`Session::optimize`]),
 //!   with the paper's two points of comparison as selectable baselines:
 //!   interchange+reversal only (Eisenbeis et al.) and Li–Pingali
 //!   access-matrix completion.
 //!
+//! Every analysis runs through a [`Session`], the one governed execution
+//! path: it owns the budget, worker threads, trace sink and certificate
+//! emission, and never panics on hostile input.
+//!
 //! # Quickstart
 //!
 //! ```
-//! use loopmem_core::{estimator::analyze_memory, optimize::{minimize_mws, SearchMode}};
+//! use loopmem_core::{analyze_memory, Session, DEFAULT_MAX_ITERATIONS};
+//! use loopmem_sim::AnalysisBudget;
 //!
 //! // Example 8 of the paper.
 //! let nest = loopmem_ir::parse(r#"
@@ -42,8 +48,10 @@
 //!     for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }
 //! "#).unwrap();
 //!
-//! let before = analyze_memory(&nest);
-//! let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+//! let session = Session::new()
+//!     .budget(AnalysisBudget::unlimited().with_max_iterations(DEFAULT_MAX_ITERATIONS));
+//! let before = analyze_memory(&session, &nest).unwrap();
+//! let opt = session.optimize(&nest).unwrap();
 //! assert!(opt.mws_after < before.mws_exact);
 //! assert_eq!(opt.mws_after, 21); // the paper's "actual minimum MWS"
 //! ```
@@ -66,7 +74,7 @@ pub mod tile;
 pub mod transform;
 pub mod union_count;
 
-pub use bnb::{branch_and_bound, try_branch_and_bound, BnbResult};
+pub use bnb::{try_branch_and_bound, BnbResult};
 pub use cert::{
     certify_bnb, certify_bounds, certify_degraded, certify_fusion, certify_governed_scratchpad,
     certify_optimization, certify_sizing, trace_certificates,
@@ -80,23 +88,31 @@ pub use distinct::{
 pub use estimator::{analyze_memory, MemoryAnalysis};
 pub use fusion::{fuse, FusionError};
 pub use mws::{estimate_nest_mws, three_level_estimate, two_level_estimate, two_level_objective};
-pub use optimize::{
-    memo_stats, minimize_mws, minimize_mws_traced, minimize_mws_with_threads, nest_mws_memoized,
-    try_minimize_mws, try_minimize_mws_with_threads, Optimization, OptimizeError, SearchMode,
-};
-pub use program_opt::{
-    analyze_program, optimize_program, optimize_program_with_threads, try_optimize_program,
-    try_optimize_program_with_threads, GovernedProgramOptimization, ProgramAnalysis,
-    ProgramOptimization,
-};
-pub use scratchpad::{
-    scratchpad_program, scratchpad_program_with_threads, scratchpad_with_fusion,
-    scratchpad_with_fusion_traced, try_scratchpad_program, try_scratchpad_program_tracked,
-    try_scratchpad_program_with_threads, try_scratchpad_with_fusion, FusionStep,
-    GovernedScratchpad, NestTerm, ScratchpadPlan, ScratchpadSizing,
-};
-pub use session::Session;
+pub use optimize::{Optimization, SearchMode};
+pub use program_opt::{analyze_program, GovernedProgramOptimization, ProgramAnalysis};
+pub use scratchpad::{FusionStep, GovernedScratchpad, NestTerm, ScratchpadPlan, ScratchpadSizing};
+pub use session::{Session, DEFAULT_MAX_ITERATIONS};
 pub use symbolic::{distinct_formulas, Poly, SymbolicEstimate};
 pub use tile::{tile, tile_count, TileError};
 pub use transform::{apply_transform, TransformError};
 pub use union_count::exact_union_count;
+
+/// Exact runs of small test inputs for the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::Session;
+    use loopmem_ir::{LoopNest, Program};
+    use loopmem_sim::{ProgramSimResult, SimResult};
+
+    pub fn exact_sim(nest: &LoopNest) -> SimResult {
+        Session::new().simulate(nest).expect("test nest simulates")
+    }
+
+    pub fn exact_program(program: &Program) -> ProgramSimResult {
+        let gov = Session::new()
+            .simulate_program(program)
+            .expect("test program simulates");
+        assert!(gov.all_exact());
+        gov.sim
+    }
+}

@@ -152,7 +152,7 @@ pub fn lex_delay_estimate(distances: &[Vec<i64>], extents: &[i64]) -> i64 {
 /// formula for 3-deep rank-deficient groups, and the lexicographic-delay
 /// bound for everything else. Returns `None` for non-rectangular nests.
 ///
-/// This is the cheap counterpart of `loopmem_sim::simulate(..).mws_total`
+/// This is the cheap counterpart of `Session::simulate(..).mws_total`
 /// — an upper estimate in the paper's dense-reuse regime, used for quick
 /// sizing and by the optimizer's candidate ranking.
 pub fn estimate_nest_mws(nest: &loopmem_ir::LoopNest) -> Option<i64> {
@@ -288,7 +288,7 @@ mod tests {
         ] {
             let nest = parse(src).unwrap();
             let est = estimate_nest_mws(&nest).unwrap();
-            let exact = loopmem_sim::simulate(&nest).mws_total as i64;
+            let exact = crate::testing::exact_sim(&nest).mws_total as i64;
             assert!(exact <= est + 1, "{src}: exact {exact} vs est {est}");
         }
     }

@@ -19,7 +19,7 @@
 //!   exists the search *fails*, reproducing the paper's Example 8 claim.
 
 use crate::mws::{lex_delay_estimate, two_level_estimate};
-use crate::transform::{apply_transform, TransformError};
+use crate::transform::apply_transform;
 use loopmem_dep::legality::{is_legal, is_tileable, row_tileable};
 use loopmem_dep::uniform::uniform_groups;
 use loopmem_dep::{analyze, DependenceSet};
@@ -27,16 +27,11 @@ use loopmem_ir::LoopNest;
 use loopmem_ir::{AnalysisError, TripReason};
 use loopmem_linalg::gcd::{extended_gcd, gcd_i64};
 use loopmem_linalg::{complete_unimodular_rows, IMat};
-use loopmem_obs::{EventKind, Phase, TraceEvent, TraceSink};
-use loopmem_sim::{
-    panic_message, simulate_with_threads, try_simulate_tracked, AnalysisBudget, BudgetTracker,
-};
-use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
+use loopmem_obs::{EventKind, Phase, TraceEvent};
+use loopmem_sim::{panic_message, try_simulate_tracked, AnalysisBudget, BudgetTracker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Which transformation space to search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,35 +60,6 @@ impl Default for SearchMode {
     }
 }
 
-/// Why no transformation was produced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OptimizeError {
-    /// The mode's candidate space contains no legal transformation
-    /// (Li–Pingali on Example 8).
-    NoLegalTransform,
-    /// A candidate could not be applied.
-    Transform(TransformError),
-}
-
-impl fmt::Display for OptimizeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OptimizeError::NoLegalTransform => {
-                write!(f, "no legal transformation in the search space")
-            }
-            OptimizeError::Transform(e) => write!(f, "transformation failed: {e}"),
-        }
-    }
-}
-
-impl Error for OptimizeError {}
-
-impl From<TransformError> for OptimizeError {
-    fn from(e: TransformError) -> Self {
-        OptimizeError::Transform(e)
-    }
-}
-
 /// A successful optimization.
 #[derive(Clone, Debug)]
 pub struct Optimization {
@@ -107,323 +73,11 @@ pub struct Optimization {
     pub mws_after: u64,
     /// Number of legal candidates the search considered.
     pub candidates_considered: usize,
-    /// How many candidate simulations this search served from the
-    /// process-wide memo table instead of re-simulating.
-    pub cache_hits: usize,
     /// Every candidate the search exactly simulated, as
     /// `(transform, exact MWS)` pairs in candidate-rank order — the
     /// evidence frontier behind the winner's minimality claim, exported
     /// into optimality certificates (see [`crate::cert`]).
     pub evaluated: Vec<(IMat, u64)>,
-}
-
-// ------------------------------------------------------------------ memo --
-
-/// Process-wide memo of exact simulation results, keyed by the canonical
-/// printed form of the nest. Different candidate matrices frequently
-/// produce the *same* transformed nest (and every search re-simulates the
-/// identity), so repeated and multi-mode searches hit this table hard.
-struct Memo {
-    map: Mutex<HashMap<String, u64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-fn memo() -> &'static Memo {
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    MEMO.get_or_init(|| Memo {
-        map: Mutex::new(HashMap::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-/// `(hits, misses)` of the process-wide simulation memo since startup.
-pub fn memo_stats() -> (u64, u64) {
-    let m = memo();
-    (
-        m.hits.load(Ordering::Relaxed),
-        m.misses.load(Ordering::Relaxed),
-    )
-}
-
-/// Exact MWS of a nest, served from (and recorded in) the process-wide
-/// simulation memo. The key is the *canonical* nest form — loop-variable
-/// names are erased — so batch analyses of programs that repeat a kernel
-/// under different variable names simulate it exactly once.
-pub fn nest_mws_memoized(nest: &LoopNest) -> u64 {
-    memoized_mws(nest).0
-}
-
-/// Canonical memo key: everything the simulator observes — array decls,
-/// bound pieces, reference matrices/offsets — but *not* loop-variable
-/// names, so a nest and its identity transform (which renames `i, j` to
-/// `t1, t2`) key identically.
-fn canonical_key(nest: &LoopNest) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    for a in nest.arrays() {
-        let _ = write!(s, "A{}:{:?};", a.name, a.dims);
-    }
-    for l in nest.loops() {
-        s.push('L');
-        for p in l.lower.pieces() {
-            let _ = write!(
-                s,
-                "l{:?}+{}/{};",
-                p.expr.coeffs(),
-                p.expr.constant_term(),
-                p.div
-            );
-        }
-        for p in l.upper.pieces() {
-            let _ = write!(
-                s,
-                "u{:?}+{}/{};",
-                p.expr.coeffs(),
-                p.expr.constant_term(),
-                p.div
-            );
-        }
-    }
-    for st in nest.statements() {
-        for r in st.refs() {
-            let _ = write!(s, "R{}:{:?}:", r.array.0, r.kind);
-            for d in 0..r.rank() {
-                let _ = write!(s, "{:?}+{};", r.matrix.row(d), r.offset[d]);
-            }
-        }
-    }
-    s
-}
-
-/// Memoized exact MWS of a nest; `true` when served from the table.
-/// Simulations run single-threaded — the optimizer parallelizes over
-/// candidates, so nesting parallel sweeps would only oversubscribe.
-fn memoized_mws(nest: &LoopNest) -> (u64, bool) {
-    let m = memo();
-    let key = canonical_key(nest);
-    if let Some(&v) = m.map.lock().expect("memo poisoned").get(&key) {
-        m.hits.fetch_add(1, Ordering::Relaxed);
-        return (v, true);
-    }
-    let v = simulate_with_threads(nest, false, 1).mws_total;
-    m.misses.fetch_add(1, Ordering::Relaxed);
-    m.map.lock().expect("memo poisoned").insert(key, v);
-    (v, false)
-}
-
-/// Serial [`minimize_mws`] that narrates the search into `sink`: one
-/// `memo-lookup` event per exact-simulation probe of the process-wide
-/// memo (the baseline probe first, then candidates in rank order),
-/// bracketed by a `search` span charging the candidate count. Runs
-/// single-threaded so the event order *is* the serial scan order. Falls
-/// back to the plain serial search when `sink` is disabled (the
-/// zero-cost contract).
-///
-/// Hit/miss flags reflect the process-wide memo's state, so they depend
-/// on what ran earlier in the process; the event *structure* (count,
-/// order) is deterministic for a given nest and mode.
-///
-/// # Errors
-///
-/// Same as [`minimize_mws`].
-pub fn minimize_mws_traced(
-    nest: &LoopNest,
-    mode: SearchMode,
-    sink: &Arc<dyn TraceSink>,
-) -> Result<Optimization, OptimizeError> {
-    if !sink.enabled() {
-        return minimize_mws_with_threads(nest, mode, 1);
-    }
-    let started = std::time::Instant::now();
-    let deps = analyze(nest);
-    let candidates = generate_candidates(nest, &deps, mode);
-    if candidates.is_empty() {
-        return Err(OptimizeError::NoLegalTransform);
-    }
-    let mut events = vec![TraceEvent {
-        phase: Phase::Search,
-        nest: None,
-        ord: (0, 0),
-        thread: 0,
-        kind: EventKind::SpanBegin { label: "search" },
-    }];
-    let mut seq = 0u64;
-    let mut probe = |events: &mut Vec<TraceEvent>, hit: bool| {
-        seq += 1;
-        events.push(TraceEvent {
-            phase: Phase::Search,
-            nest: None,
-            ord: (seq, 0),
-            thread: 0,
-            kind: EventKind::MemoLookup { hit },
-        });
-    };
-    let mut hits = 0usize;
-    let (mws_before, before_hit) = memoized_mws(nest);
-    probe(&mut events, before_hit);
-    if before_hit {
-        hits += 1;
-    }
-    let considered = candidates.len();
-    let mut by_rank: Vec<(usize, u64)> = Vec::with_capacity(considered);
-    for (rank, t) in candidates.iter().enumerate() {
-        let out = apply_transform(nest, t)?;
-        let (mws, hit) = memoized_mws(&out);
-        probe(&mut events, hit);
-        if hit {
-            hits += 1;
-        }
-        by_rank.push((rank, mws));
-    }
-    let (mws_after, rank) = by_rank
-        .iter()
-        .map(|&(rank, mws)| (mws, rank))
-        .min()
-        .expect("candidates were non-empty");
-    let evaluated: Vec<(IMat, u64)> = by_rank
-        .into_iter()
-        .map(|(rank, mws)| (candidates[rank].clone(), mws))
-        .collect();
-    let transform = candidates.into_iter().nth(rank).expect("rank is in range");
-    let transformed = apply_transform(nest, &transform)?;
-    events.push(TraceEvent {
-        phase: Phase::Search,
-        nest: None,
-        ord: (u64::MAX, 0),
-        thread: 0,
-        kind: EventKind::SpanEnd {
-            label: "search",
-            micros: started.elapsed().as_micros() as u64,
-            charged: considered as u64,
-        },
-    });
-    sink.record_all(events);
-    Ok(Optimization {
-        transform,
-        transformed,
-        mws_before,
-        mws_after,
-        candidates_considered: considered,
-        cache_hits: hits,
-        evaluated,
-    })
-}
-
-/// Searches `mode`'s space for the transformation minimizing the exact MWS.
-///
-/// The identity is always a candidate, so `mws_after <= mws_before` holds
-/// whenever the search succeeds. Candidates are ranked with the closed-form
-/// estimates and the best few re-simulated, so the reported `mws_after` is
-/// exact, not estimated.
-///
-/// # Errors
-///
-/// [`OptimizeError::NoLegalTransform`] when the candidate space is empty
-/// (possible for [`SearchMode::LiPingali`]).
-pub fn minimize_mws(nest: &LoopNest, mode: SearchMode) -> Result<Optimization, OptimizeError> {
-    minimize_mws_with_threads(nest, mode, loopmem_sim::thread_count())
-}
-
-/// [`minimize_mws`] with a pinned evaluator-thread count. The winner is
-/// chosen by `(exact MWS, candidate rank)`, so the result is bit-identical
-/// for every `threads` value.
-pub fn minimize_mws_with_threads(
-    nest: &LoopNest,
-    mode: SearchMode,
-    threads: usize,
-) -> Result<Optimization, OptimizeError> {
-    let deps = analyze(nest);
-    let candidates = generate_candidates(nest, &deps, mode);
-    if candidates.is_empty() {
-        return Err(OptimizeError::NoLegalTransform);
-    }
-
-    let hits = AtomicUsize::new(0);
-    let (mws_before, before_hit) = memoized_mws(nest);
-    if before_hit {
-        hits.fetch_add(1, Ordering::Relaxed);
-    }
-    let considered = candidates.len();
-    let evals = evaluate_candidates(nest, &candidates, threads, &hits);
-
-    // Serial semantics: an apply failure aborts the scan, so the earliest
-    // failing candidate wins over any simulated result.
-    if let Some((_, Err(e))) = evals
-        .iter()
-        .filter(|(_, r)| r.is_err())
-        .min_by_key(|(rank, _)| *rank)
-    {
-        return Err(e.clone());
-    }
-    let mut by_rank: Vec<(usize, u64)> = evals
-        .into_iter()
-        .map(|(rank, r)| (rank, r.expect("errors were handled above")))
-        .collect();
-    by_rank.sort_unstable_by_key(|&(rank, _)| rank);
-    let (mws_after, rank) = by_rank
-        .iter()
-        .map(|&(rank, mws)| (mws, rank))
-        .min()
-        .expect("candidates were non-empty");
-    let evaluated: Vec<(IMat, u64)> = by_rank
-        .into_iter()
-        .map(|(rank, mws)| (candidates[rank].clone(), mws))
-        .collect();
-    let transform = candidates.into_iter().nth(rank).expect("rank is in range");
-    let transformed = apply_transform(nest, &transform)?;
-    Ok(Optimization {
-        transform,
-        transformed,
-        mws_before,
-        mws_after,
-        candidates_considered: considered,
-        cache_hits: hits.into_inner(),
-        evaluated,
-    })
-}
-
-/// Evaluates each candidate's exact MWS (memoized), in parallel on a
-/// scoped-thread pool when `threads > 1`. Returns `(rank, result)` pairs;
-/// order of the returned vector is unspecified, ranks identify candidates.
-fn evaluate_candidates(
-    nest: &LoopNest,
-    candidates: &[IMat],
-    threads: usize,
-    hits: &AtomicUsize,
-) -> Vec<(usize, Result<u64, OptimizeError>)> {
-    let eval_one = |t: &IMat| -> Result<u64, OptimizeError> {
-        let out = apply_transform(nest, t)?;
-        let (mws, hit) = memoized_mws(&out);
-        if hit {
-            hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(mws)
-    };
-    let workers = threads.max(1).min(candidates.len());
-    if workers <= 1 {
-        return candidates
-            .iter()
-            .enumerate()
-            .map(|(rank, t)| (rank, eval_one(t)))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new(Vec::with_capacity(candidates.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let rank = next.fetch_add(1, Ordering::Relaxed);
-                if rank >= candidates.len() {
-                    break;
-                }
-                let r = eval_one(&candidates[rank]);
-                results.lock().expect("results poisoned").push((rank, r));
-            });
-        }
-    });
-    results.into_inner().expect("results poisoned")
 }
 
 // ------------------------------------------------------- governed search --
@@ -460,55 +114,27 @@ fn exact_iteration_count(nest: &LoopNest) -> Option<u128> {
     })
 }
 
-/// Governed [`minimize_mws`]: auto thread count, see
-/// [`try_minimize_mws_with_threads`].
+/// The governed §4 search behind [`Session::optimize`](crate::Session):
+/// never panics, and one tracker governs the *whole* search — one
+/// deadline, one cumulative iteration count across every candidate
+/// simulation, and one search node charged per candidate (capped by
+/// [`AnalysisBudget::with_max_search_nodes`]). The program-level
+/// optimizer shares its tracker across every nest; `nest_index` tags
+/// [`AnalysisError::NestPanicked`] with the nest's position in its
+/// program.
 ///
-/// Thin wrapper over [`Session::optimize`](crate::Session) — prefer the
-/// session builder in new code.
-pub fn try_minimize_mws(
-    nest: &LoopNest,
-    mode: SearchMode,
-    budget: &AnalysisBudget,
-) -> Result<Optimization, AnalysisError> {
-    crate::Session::new()
-        .search_mode(mode)
-        .budget(budget.clone())
-        .optimize(nest)
-}
-
-/// Governed [`minimize_mws_with_threads`]: never panics and respects
-/// `budget`, which governs the *whole* search — one deadline, one
-/// cumulative iteration count across every candidate simulation, and one
-/// search node charged per candidate (capped by
-/// [`AnalysisBudget::with_max_search_nodes`]).
+/// The identity is always a candidate, so `mws_after <= mws_before`
+/// holds whenever the search succeeds. Candidates are ranked with the
+/// closed-form estimates and the best few simulated exactly, in parallel
+/// on `threads` workers; the winner is chosen by `(exact MWS, candidate
+/// rank)`, so the result is bit-identical for every `threads` value.
 ///
 /// On a budget trip the error degrades to analytical MWS bounds on the
 /// original nest ([`crate::distinct::analytic_mws_bounds`]). An empty
-/// candidate space or an inapplicable transformation reports
-/// [`AnalysisError::Invalid`]; contained panics surface as
-/// [`AnalysisError::NestPanicked`]. The governed path skips the process
-/// -wide simulation memo so repeated calls charge the same work and trip
-/// (or not) reproducibly; `cache_hits` is therefore always 0.
-///
-/// Thin wrapper over [`Session::optimize`](crate::Session) — prefer the
-/// session builder in new code.
-pub fn try_minimize_mws_with_threads(
-    nest: &LoopNest,
-    mode: SearchMode,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<Optimization, AnalysisError> {
-    crate::Session::new()
-        .threads(threads)
-        .search_mode(mode)
-        .budget(budget.clone())
-        .optimize(nest)
-}
-
-/// Tracker-sharing variant backing the program-level governed optimizer:
-/// `nest_index` tags [`AnalysisError::NestPanicked`] with the nest's
-/// position in its program.
-pub(crate) fn try_minimize_mws_tracked(
+/// candidate space (possible for [`SearchMode::LiPingali`]) or an
+/// inapplicable transformation reports [`AnalysisError::Invalid`];
+/// contained panics surface as [`AnalysisError::NestPanicked`].
+pub(crate) fn governed_search(
     nest_index: usize,
     nest: &LoopNest,
     mode: SearchMode,
@@ -563,7 +189,8 @@ fn try_minimize_impl(
         });
     }
     let simulate = |n: &LoopNest| -> Result<u64, AnalysisError> {
-        try_simulate_tracked(n, false, 1, tracker, budget.max_table_bytes()).map(|s| s.mws_total)
+        try_simulate_tracked(n, false, 1, tracker, budget.max_table_bytes(), false)
+            .map(|s| s.mws_total)
     };
     let mws_before = simulate(nest).map_err(|e| normalize_error(nest, e))?;
     let considered = candidates.len();
@@ -675,7 +302,6 @@ fn try_minimize_impl(
         mws_before,
         mws_after,
         candidates_considered: considered,
-        cache_hits: 0,
         evaluated,
     })
 }
@@ -971,6 +597,7 @@ fn analytic_objective(nest: &LoopNest, deps: &DependenceSet, t: &IMat) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use loopmem_ir::parse;
 
     fn example7() -> LoopNest {
@@ -985,16 +612,20 @@ mod tests {
         .unwrap()
     }
 
+    fn minimize(nest: &LoopNest, mode: SearchMode) -> Result<Optimization, AnalysisError> {
+        Session::new().search_mode(mode).optimize(nest)
+    }
+
     #[test]
     fn example7_compound_reaches_one() {
-        let opt = minimize_mws(&example7(), SearchMode::default()).unwrap();
+        let opt = minimize(&example7(), SearchMode::default()).unwrap();
         assert_eq!(opt.mws_after, 1, "paper: cost reduced to 1");
         assert_eq!(opt.mws_before, 86); // exact (paper's metric says 89)
     }
 
     #[test]
     fn example7_interchange_reversal_baseline() {
-        let opt = minimize_mws(&example7(), SearchMode::InterchangeReversal).unwrap();
+        let opt = minimize(&example7(), SearchMode::InterchangeReversal).unwrap();
         // Best interchange+reversal order: exact MWS 34 (paper's cost
         // metric reports 36); far worse than the compound result of 1.
         assert_eq!(opt.mws_after, 34);
@@ -1002,7 +633,7 @@ mod tests {
 
     #[test]
     fn example8_compound_reaches_21() {
-        let opt = minimize_mws(&example8(), SearchMode::default()).unwrap();
+        let opt = minimize(&example8(), SearchMode::default()).unwrap();
         assert_eq!(opt.mws_after, 21, "paper's actual minimum MWS");
         assert_eq!(opt.mws_before, 44); // formula says 50
     }
@@ -1011,9 +642,11 @@ mod tests {
     fn example8_li_pingali_fails() {
         // The paper: "Li and Pingali's technique will not find any partial
         // transformation that can be completed to a legal transformation."
-        assert_eq!(
-            minimize_mws(&example8(), SearchMode::LiPingali).unwrap_err(),
-            OptimizeError::NoLegalTransform
+        let err = minimize(&example8(), SearchMode::LiPingali).unwrap_err();
+        assert!(
+            matches!(&err, AnalysisError::Invalid { message }
+                if message == "no legal transformation in the search space"),
+            "{err:?}"
         );
     }
 
@@ -1021,7 +654,7 @@ mod tests {
     fn example8_interchange_reversal_cannot_improve() {
         // Paper: "A combination of reversal and interchange does not
         // change the maximum window size from 50" (exact: 44).
-        let opt = minimize_mws(&example8(), SearchMode::InterchangeReversal).unwrap();
+        let opt = minimize(&example8(), SearchMode::InterchangeReversal).unwrap();
         assert_eq!(opt.mws_after, opt.mws_before);
         assert_eq!(opt.mws_after, 44);
     }
@@ -1030,7 +663,7 @@ mod tests {
     fn example7_li_pingali_succeeds() {
         // Example 7 has only an input dependence; the access row (2,-3)
         // completes legally and collapses the window.
-        let opt = minimize_mws(&example7(), SearchMode::LiPingali).unwrap();
+        let opt = minimize(&example7(), SearchMode::LiPingali).unwrap();
         assert_eq!(opt.mws_after, 1);
     }
 
@@ -1041,7 +674,7 @@ mod tests {
              for i = 1 to 10 { for j = 1 to 20 { for k = 1 to 30 { A[3i + k][j + k]; } } }",
         )
         .unwrap();
-        let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+        let opt = minimize(&nest, SearchMode::default()).unwrap();
         assert_eq!(opt.mws_after, 1, "§4.3: access-matrix rows lead T");
         assert!(opt.mws_before > 400, "original window is hundreds wide");
     }
@@ -1053,28 +686,9 @@ mod tests {
             "array A[40]\nfor i = 1 to 10 { for j = 1 to 10 { A[i + j] = A[i + j - 1]; } }",
         ] {
             let nest = parse(src).unwrap();
-            let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+            let opt = minimize(&nest, SearchMode::default()).unwrap();
             assert!(opt.mws_after <= opt.mws_before, "{src}");
         }
-    }
-
-    #[test]
-    fn memoization_serves_repeated_searches() {
-        // The identity candidate re-simulates the input nest, which the
-        // mws_before computation already inserted into the memo — so even
-        // a single search records hits, and a repeat is almost all hits.
-        // The nest is unique to this test: the memo is process-wide and
-        // concurrently running tests would otherwise pre-populate it.
-        let nest = parse("array X[160]\nfor i = 1 to 21 { for j = 1 to 17 { X[3i - 7j + 120]; } }")
-            .unwrap();
-        let first = minimize_mws(&nest, SearchMode::default()).unwrap();
-        assert!(first.cache_hits > 0, "identity candidate must hit the memo");
-        let again = minimize_mws(&nest, SearchMode::default()).unwrap();
-        assert!(again.cache_hits > first.cache_hits);
-        assert_eq!(again.mws_after, first.mws_after);
-        assert_eq!(again.transform, first.transform);
-        let (hits, misses) = memo_stats();
-        assert!(hits > 0 && misses > 0);
     }
 
     #[test]
@@ -1084,13 +698,14 @@ mod tests {
             "array X[200]\nfor i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
         ] {
             let nest = parse(src).unwrap();
-            let serial = minimize_mws_with_threads(&nest, SearchMode::default(), 1).unwrap();
+            let serial = Session::new().threads(1).optimize(&nest).unwrap();
             for threads in [2, 4, 7] {
-                let par = minimize_mws_with_threads(&nest, SearchMode::default(), threads).unwrap();
+                let par = Session::new().threads(threads).optimize(&nest).unwrap();
                 assert_eq!(par.transform, serial.transform, "{src}");
                 assert_eq!(par.mws_after, serial.mws_after);
                 assert_eq!(par.mws_before, serial.mws_before);
                 assert_eq!(par.candidates_considered, serial.candidates_considered);
+                assert_eq!(par.evaluated, serial.evaluated);
             }
         }
     }

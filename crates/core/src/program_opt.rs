@@ -6,15 +6,10 @@
 //!/consumer pair needs fusion, not reordering, to shrink its boundary set.
 //! The analysis reports both numbers so the gap is visible.
 
-use crate::optimize::{
-    minimize_mws_with_threads, nest_mws_memoized, try_minimize_mws_tracked, Optimization,
-    OptimizeError, SearchMode,
-};
+use crate::optimize::{governed_search, Optimization, SearchMode};
+use crate::Session;
 use loopmem_ir::{AnalysisError, ArrayId, Bounds, Program};
-use loopmem_sim::{
-    simulate_program, simulate_program_with_threads, try_simulate_program_tracked, AnalysisBudget,
-    BudgetTracker, ProgramSimResult,
-};
+use loopmem_sim::{try_simulate_program_tracked, AnalysisBudget, BudgetTracker};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -32,147 +27,42 @@ pub struct ProgramAnalysis {
     pub distinct: HashMap<ArrayId, u64>,
     /// Which nest hosts the window peak.
     pub peak_nest: usize,
-    /// Exact single-nest MWS per nest (memoized: a kernel repeated under
-    /// different loop-variable names is simulated once).
+    /// Exact single-nest MWS per nest, read off each nest's own pass-1
+    /// tables (no re-simulation).
     pub per_nest_mws: Vec<u64>,
 }
 
-/// Analyzes a program's memory behaviour exactly.
-pub fn analyze_program(program: &Program) -> ProgramAnalysis {
-    let sim: ProgramSimResult = simulate_program(program);
-    ProgramAnalysis {
+/// Analyzes a program's memory behaviour exactly, through `session`'s
+/// governed program simulation.
+///
+/// # Errors
+///
+/// The whole-program failure of [`Session::simulate_program`], or the
+/// first nest that did not simulate exactly. An exhausted budget reports
+/// the program-level MWS interval as its payload.
+pub fn analyze_program(
+    session: &Session,
+    program: &Program,
+) -> Result<ProgramAnalysis, AnalysisError> {
+    let gov = session.simulate_program(program)?;
+    if let Some(Err(e)) = gov.per_nest.iter().find(|r| r.is_err()) {
+        return Err(match e {
+            AnalysisError::Exhausted { reason, .. } => AnalysisError::Exhausted {
+                reason: *reason,
+                partial: gov.mws_bounds,
+            },
+            other => other.clone(),
+        });
+    }
+    let sim = gov.sim;
+    Ok(ProgramAnalysis {
         default_words: program.default_memory(),
         mws_exact: sim.mws_total,
         boundary_live: sim.boundary_live,
         distinct: sim.distinct,
         peak_nest: sim.peak_nest,
-        per_nest_mws: program.nests().iter().map(nest_mws_memoized).collect(),
-    }
-}
-
-/// Result of optimizing every nest of a program.
-#[derive(Clone, Debug)]
-pub struct ProgramOptimization {
-    /// The program with each nest transformed.
-    pub transformed: Program,
-    /// Whole-program MWS before.
-    pub mws_before: u64,
-    /// Whole-program MWS after.
-    pub mws_after: u64,
-    /// Per-nest `(before, after)` single-nest windows.
-    pub per_nest: Vec<(u64, u64)>,
-}
-
-/// Runs the §4 search on every nest independently and re-evaluates the
-/// whole program. `mws_after <= mws_before` is *not* guaranteed at the
-/// program level (a per-nest win can shift a boundary), so the result
-/// keeps whichever whole-program choice is better per nest, greedily in
-/// execution order.
-///
-/// Uses every available worker thread ([`loopmem_sim::thread_count`]).
-///
-/// # Errors
-///
-/// Propagates the first nest-level [`OptimizeError`].
-pub fn optimize_program(
-    program: &Program,
-    mode: SearchMode,
-) -> Result<ProgramOptimization, OptimizeError> {
-    optimize_program_with_threads(program, mode, loopmem_sim::thread_count())
-}
-
-/// [`optimize_program`] with a pinned worker-thread count.
-///
-/// The per-nest §4 searches are independent, so they shard across one
-/// scoped-thread pool (workers steal nest indices from an atomic queue;
-/// each search then runs its own evaluation single-threaded to avoid
-/// oversubscribing). All searches share the process-wide simulation memo,
-/// so a kernel repeated across nests — even under different loop-variable
-/// names — is simulated once. The greedy accept pass that follows is
-/// serial and the searches themselves are deterministic, so the result is
-/// bit-identical for every `threads` value.
-///
-/// # Errors
-///
-/// Propagates the earliest (by nest index) nest-level [`OptimizeError`],
-/// matching the serial path's first-failure semantics.
-pub fn optimize_program_with_threads(
-    program: &Program,
-    mode: SearchMode,
-    threads: usize,
-) -> Result<ProgramOptimization, OptimizeError> {
-    let mws_before = simulate_program_with_threads(program, threads).mws_total;
-    let opts = optimize_nests_sharded(program, mode, threads)?;
-    let mut current = program.clone();
-    let mut current_mws = mws_before;
-    let mut per_nest = Vec::with_capacity(program.len());
-    for (k, opt) in opts.into_iter().enumerate() {
-        per_nest.push((opt.mws_before, opt.mws_after));
-        let candidate = current
-            .with_nest(k, opt.transformed)
-            .expect("transformation preserves the array table");
-        // Keep the per-nest transformation only if the whole program does
-        // not regress.
-        let candidate_mws = simulate_program_with_threads(&candidate, threads).mws_total;
-        if candidate_mws <= current_mws {
-            current = candidate;
-            current_mws = candidate_mws;
-        }
-    }
-    Ok(ProgramOptimization {
-        transformed: current,
-        mws_before,
-        mws_after: current_mws,
-        per_nest,
+        per_nest_mws: sim.per_nest_mws,
     })
-}
-
-/// Runs the nest-level search for every nest, sharded across `threads`
-/// scoped workers pulling nest indices from an atomic queue. In the
-/// serial loop each nest is searched in its *original* form (earlier
-/// replacements never touch later nests), so the searches are independent
-/// and order-free; outputs land in their nest's slot.
-fn optimize_nests_sharded(
-    program: &Program,
-    mode: SearchMode,
-    threads: usize,
-) -> Result<Vec<Optimization>, OptimizeError> {
-    let nests = program.nests();
-    if nests.len() == 1 {
-        // A single nest cannot shard; give the search every thread.
-        return Ok(vec![minimize_mws_with_threads(&nests[0], mode, threads)?]);
-    }
-    let workers = threads.max(1).min(nests.len());
-    if workers <= 1 {
-        return nests
-            .iter()
-            .map(|n| minimize_mws_with_threads(n, mode, 1))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<Optimization, OptimizeError>>>> =
-        nests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= nests.len() {
-                    break;
-                }
-                let r = minimize_mws_with_threads(&nests[k], mode, 1);
-                *slots[k].lock().expect("slot poisoned") = Some(r);
-            });
-        }
-    });
-    // Earliest failing nest wins, as in the serial scan.
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every nest searched")
-        })
-        .collect()
 }
 
 // --------------------------------------------------- governed optimizer --
@@ -196,53 +86,24 @@ pub struct GovernedProgramOptimization {
     pub per_nest: Vec<Result<(u64, u64), AnalysisError>>,
 }
 
-/// Governed [`optimize_program`]: auto thread count, see
-/// [`try_optimize_program_with_threads`].
-///
-/// Thin wrapper over [`Session::optimize_program`](crate::Session) —
-/// prefer the session builder in new code.
-pub fn try_optimize_program(
-    program: &Program,
-    mode: SearchMode,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramOptimization, AnalysisError> {
-    crate::Session::new()
-        .search_mode(mode)
-        .budget(budget.clone())
-        .optimize_program(program)
-}
-
-/// Governed [`optimize_program_with_threads`]: never panics and runs the
-/// whole pipeline — baseline simulation, per-nest §4 searches, greedy
-/// accept re-simulations — under one [`BudgetTracker`] (one deadline, one
+/// The program-level optimizer behind
+/// [`Session::optimize_program`](crate::Session): runs the whole pipeline
+/// — baseline simulation, per-nest §4 searches, greedy accept
+/// re-simulations — under one [`BudgetTracker`] (one deadline, one
 /// cumulative iteration count, one search-node count).
 ///
-/// Per-nest failures are contained: a nest whose search trips the budget,
-/// overflows, or panics keeps its original form and reports the typed
-/// error in `per_nest` while every other nest completes. A candidate
-/// acceptance is taken only when its governed program re-simulation is
-/// exact and does not worsen the current upper bound, so `mws_after.upper
-/// <= mws_before.upper` always holds. The top-level `Err` is reserved for
-/// whole-program failures of the *baseline* simulation (e.g. the global
-/// table fold exceeding `max_table_bytes`).
-///
-/// Thin wrapper over [`Session::optimize_program`](crate::Session) —
-/// prefer the session builder in new code.
-pub fn try_optimize_program_with_threads(
-    program: &Program,
-    mode: SearchMode,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramOptimization, AnalysisError> {
-    crate::Session::new()
-        .threads(threads)
-        .search_mode(mode)
-        .budget(budget.clone())
-        .optimize_program(program)
-}
-
-/// The governed optimizer body shared by [`crate::Session`] and the
-/// legacy `try_optimize_program*` wrappers above.
+/// The per-nest searches are independent, so they shard across one
+/// scoped-thread pool; the greedy accept pass that follows is serial and
+/// keeps a per-nest transformation only if the whole program does not
+/// regress, so the result is bit-identical for every `threads` value.
+/// Per-nest failures are contained: a nest whose search trips the
+/// budget, overflows, or panics keeps its original form and reports the
+/// typed error in `per_nest` while every other nest completes. A
+/// candidate acceptance is taken only when its governed program
+/// re-simulation is exact and does not worsen the current upper bound,
+/// so `mws_after.upper <= mws_before.upper` always holds. The top-level
+/// `Err` is reserved for whole-program failures of the *baseline*
+/// simulation (e.g. the global table fold exceeding `max_table_bytes`).
 pub(crate) fn governed_optimize_program(
     program: &Program,
     mode: SearchMode,
@@ -290,8 +151,11 @@ pub(crate) fn governed_optimize_program(
     })
 }
 
-/// Governed sibling of [`optimize_nests_sharded`]: same sharding, but
-/// failures stay in their nest's slot instead of aborting the batch, and
+/// Runs the nest-level search for every nest, sharded across `threads`
+/// scoped workers pulling nest indices from an atomic queue (each search
+/// then evaluates single-threaded, to avoid oversubscribing). Every nest
+/// is searched in its *original* form, so the searches are independent
+/// and order-free; outputs and failures land in their nest's slot, and
 /// every search charges the shared tracker.
 fn try_optimize_nests_sharded(
     program: &Program,
@@ -302,7 +166,7 @@ fn try_optimize_nests_sharded(
 ) -> Vec<Result<Optimization, AnalysisError>> {
     let nests = program.nests();
     if nests.len() == 1 {
-        return vec![try_minimize_mws_tracked(
+        return vec![governed_search(
             0, &nests[0], mode, threads, tracker, budget,
         )];
     }
@@ -311,7 +175,7 @@ fn try_optimize_nests_sharded(
         return nests
             .iter()
             .enumerate()
-            .map(|(k, n)| try_minimize_mws_tracked(k, n, mode, 1, tracker, budget))
+            .map(|(k, n)| governed_search(k, n, mode, 1, tracker, budget))
             .collect();
     }
     let next = AtomicUsize::new(0);
@@ -324,7 +188,7 @@ fn try_optimize_nests_sharded(
                 if k >= nests.len() {
                     break;
                 }
-                let r = try_minimize_mws_tracked(k, &nests[k], mode, 1, tracker, budget);
+                let r = governed_search(k, &nests[k], mode, 1, tracker, budget);
                 *slots[k].lock().expect("slot poisoned") = Some(r);
             });
         }
@@ -344,6 +208,13 @@ mod tests {
     use super::*;
     use loopmem_ir::parse_program;
 
+    fn optimize(program: &Program, threads: usize) -> GovernedProgramOptimization {
+        Session::new()
+            .threads(threads)
+            .optimize_program(program)
+            .unwrap()
+    }
+
     #[test]
     fn analysis_reports_boundary_sets() {
         let p = parse_program(
@@ -352,7 +223,7 @@ mod tests {
              for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }",
         )
         .unwrap();
-        let a = analyze_program(&p);
+        let a = analyze_program(&Session::new(), &p).unwrap();
         assert_eq!(a.default_words, 192);
         assert_eq!(a.boundary_live, vec![64]);
         assert!(a.mws_exact >= 64);
@@ -366,15 +237,16 @@ mod tests {
              for i = 1 to 24 { for j = 1 to 24 { B[i][j] = B[i][j] + 1; } }",
         )
         .unwrap();
-        let o = optimize_program(&p, SearchMode::default()).unwrap();
+        let o = optimize(&p, 2);
         assert!(
-            o.mws_after <= o.mws_before,
+            o.mws_after.upper <= o.mws_before.upper,
             "{} -> {}",
             o.mws_before,
             o.mws_after
         );
         // The stencil nest improves on its own.
-        assert!(o.per_nest[0].1 < o.per_nest[0].0);
+        let (before, after) = o.per_nest[0].clone().unwrap();
+        assert!(after < before);
     }
 
     #[test]
@@ -388,22 +260,16 @@ mod tests {
              for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
         )
         .unwrap();
-        let serial = optimize_program_with_threads(&p, SearchMode::default(), 1).unwrap();
+        let serial = format!("{:?}", optimize(&p, 1));
         for threads in [2, 4] {
-            let par = optimize_program_with_threads(&p, SearchMode::default(), threads).unwrap();
-            assert_eq!(par.mws_before, serial.mws_before);
-            assert_eq!(par.mws_after, serial.mws_after);
-            assert_eq!(par.per_nest, serial.per_nest);
-            assert_eq!(par.transformed, serial.transformed);
+            assert_eq!(format!("{:?}", optimize(&p, threads)), serial);
         }
-        let auto = optimize_program(&p, SearchMode::default()).unwrap();
-        assert_eq!(auto.transformed, serial.transformed);
     }
 
     #[test]
-    fn sharded_optimize_propagates_earliest_error() {
-        // Li–Pingali fails on Example 8 (no legal completion); the batch
-        // path must surface that error just like the serial scan.
+    fn sharded_optimize_keeps_failing_nests_original() {
+        // Li–Pingali fails on Example 8 (no legal completion); every nest
+        // reports that failure in its slot and keeps its original form.
         let p = parse_program(
             "array X[200]\narray Y[200]\n\
              for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }\n\
@@ -411,10 +277,16 @@ mod tests {
         )
         .unwrap();
         for threads in [1, 4] {
-            assert_eq!(
-                optimize_program_with_threads(&p, SearchMode::LiPingali, threads).unwrap_err(),
-                OptimizeError::NoLegalTransform
-            );
+            let o = Session::new()
+                .threads(threads)
+                .search_mode(SearchMode::LiPingali)
+                .optimize_program(&p)
+                .unwrap();
+            assert_eq!(o.transformed, p);
+            assert!(o
+                .per_nest
+                .iter()
+                .all(|r| matches!(r, Err(AnalysisError::Invalid { .. }))));
         }
     }
 
@@ -426,7 +298,7 @@ mod tests {
              for i = 1 to 16 { for j = 1 to 16 { A[i][j] = A[i][j] + 1; } }",
         )
         .unwrap();
-        let a = analyze_program(&p);
+        let a = analyze_program(&Session::new(), &p).unwrap();
         assert_eq!(a.per_nest_mws.len(), 2);
         assert!((16..=17).contains(&a.per_nest_mws[0]));
         assert_eq!(a.per_nest_mws[1], 0, "single-touch nest has no window");
@@ -443,9 +315,9 @@ mod tests {
              for i = 1 to 6 { for j = 1 to 6 { C[i][j] = A[i][j]; } }",
         )
         .unwrap();
-        let o = optimize_program(&p, SearchMode::default()).unwrap();
+        let o = optimize(&p, 2);
         assert!(
-            o.mws_after >= 36,
+            o.mws_after.lower >= 36,
             "boundary set is irreducible by reordering"
         );
     }

@@ -1,15 +1,14 @@
-//! The unified front door: one builder carrying every cross-cutting
-//! concern — worker threads, analysis budget, fault injection, trace
-//! sink, certificate emission — into every analysis entry point.
+//! The one way in: a builder carrying every cross-cutting concern —
+//! worker threads, analysis budget, fault injection, trace sink,
+//! certificate emission — into every analysis the workspace runs.
 //!
-//! Prior to this module the workspace's public surface had sprawled into
-//! ~28 `simulate` / `try_*` / `*_with_threads` / `*_tracked` permutations
-//! across `loopmem-sim` and `loopmem-core`; threading one more concern (a
-//! [`TraceSink`]) through that zoo was the forcing function to collapse
-//! it. A [`Session`] is built once and reused across calls; each legacy
-//! entry point is now a thin wrapper over the equivalent `Session` call
-//! (pinned bit-identical by the facade's `session_equivalence` tests),
-//! kept for source compatibility.
+//! There is a single execution path. Each verb materializes the session's
+//! budget into one [`BudgetTracker`] and drives the engines'
+//! tracker-taking entry points with it, so every answer is governed:
+//! nothing panics, and a tripped budget degrades to checkable bounds
+//! instead of hanging or overflowing. A [`Session`] is built once and
+//! reused across calls; the facade's `session_equivalence` tests pin each
+//! verb's answers against recorded goldens.
 //!
 //! ```
 //! use loopmem_core::Session;
@@ -29,38 +28,42 @@
 //! assert!(opt.mws_after <= opt.mws_before);
 //! ```
 
-use crate::optimize::{try_minimize_mws_tracked, Optimization, SearchMode};
+use crate::optimize::{governed_search, Optimization, SearchMode};
 use crate::program_opt::{governed_optimize_program, GovernedProgramOptimization};
 use crate::scratchpad::{
-    fusion_step_events, scratchpad_with_fusion, try_scratchpad_program_tracked, GovernedScratchpad,
-    ScratchpadPlan,
+    fusion_search, fusion_step_events, sizing_tracked, GovernedScratchpad, ScratchpadPlan,
 };
 use loopmem_ir::{AnalysisError, Bounds, LoopNest, Program};
 use loopmem_obs::TraceSink;
 use loopmem_sim::{
-    try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget, BudgetTracker,
-    FaultPlan, GovernedProgramSim, SimResult,
+    try_simulate_program_tracked, try_simulate_tracked, AnalysisBudget, BudgetTracker, FaultPlan,
+    GovernedProgramSim, SimResult,
 };
 use loopmem_verify::Certificate;
 use std::sync::Arc;
 
+/// The iteration cap of a default-budgeted run: the `loopmem` CLI applies
+/// it to every subcommand unless `--max-iters` or `--timeout-ms` says
+/// otherwise. An iteration cap rather than a timeout, so whether a run
+/// answers exactly or degrades to bounds is machine-independent.
+pub const DEFAULT_MAX_ITERATIONS: u64 = 2_000_000;
+
 /// A reusable, cloneable bundle of analysis configuration: thread count,
-/// budget (with optional fault plan and trace sink), search mode, and
-/// certificate emission. See the [module docs](self) for the rationale
-/// and an example.
+/// budget (with optional fault plan and trace sink), search mode, window
+/// profile, and certificate emission. See the [module docs](self) for the
+/// rationale and an example.
 ///
 /// Every method is governed: it respects the configured
-/// [`AnalysisBudget`], never panics, and returns the same typed results
-/// as the legacy `try_*` entry points it replaces. The default session
-/// (`Session::new()`) carries an unlimited budget, so it matches the
-/// legacy ungoverned functions bit-for-bit on everything they report —
-/// except the optimizer's `cache_hits`, which is 0 on governed paths by
-/// contract.
+/// [`AnalysisBudget`], never panics, and returns typed results. The
+/// default session (`Session::new()`) carries an unlimited budget; cap it
+/// with [`budget`](Session::budget) (e.g. at [`DEFAULT_MAX_ITERATIONS`])
+/// when the input is untrusted.
 #[derive(Clone, Debug, Default)]
 pub struct Session {
     threads: Option<usize>,
     budget: AnalysisBudget,
     mode: SearchMode,
+    profile: bool,
     certify: bool,
 }
 
@@ -96,8 +99,8 @@ impl Session {
     }
 
     /// Attaches a trace sink; every governed call narrates its phases,
-    /// polls, chunk commits, memo probes, prunes, faults, sizing terms
-    /// and fusion steps into it. A disabled sink (e.g.
+    /// polls, chunk commits, prunes, faults, sizing terms and fusion
+    /// steps into it. A disabled sink (e.g.
     /// [`loopmem_obs::NullSink`]) keeps the zero-cost fast paths.
     pub fn trace(self, sink: Arc<dyn TraceSink>) -> Self {
         Self {
@@ -111,6 +114,14 @@ impl Session {
     /// (`Session::optimize_program`).
     pub fn search_mode(mut self, mode: SearchMode) -> Self {
         self.mode = mode;
+        self
+    }
+
+    /// When on, [`simulate`](Session::simulate) also records the
+    /// per-iteration window profile ([`SimResult::profile`]; one `u64`
+    /// per iteration).
+    pub fn profile(mut self, on: bool) -> Self {
+        self.profile = on;
         self
     }
 
@@ -142,16 +153,25 @@ impl Session {
         }
     }
 
-    /// Governed exact simulation of one nest (legacy:
-    /// `loopmem_sim::try_simulate_with_threads`).
+    /// Governed exact simulation of one nest. Results are bit-identical
+    /// for every thread count.
     ///
     /// # Errors
     ///
     /// A budget trip degrades to [`AnalysisError::Exhausted`] with
-    /// salvaged or analytic bounds; contained panics surface as
+    /// salvaged or analytic bounds; arithmetic overflow surfaces as
+    /// [`AnalysisError::Overflow`] and contained panics as
     /// [`AnalysisError::NestPanicked`].
     pub fn simulate(&self, nest: &LoopNest) -> Result<SimResult, AnalysisError> {
-        let sim = try_simulate_with_threads(nest, false, self.thread_count(), &self.budget)?;
+        let tracker = BudgetTracker::new(&self.budget);
+        let sim = try_simulate_tracked(
+            nest,
+            self.profile,
+            self.thread_count(),
+            &tracker,
+            self.budget.max_table_bytes(),
+            true,
+        )?;
         if self.wants_certs() {
             let bounds = Bounds::exact(sim.mws_total);
             self.emit_certs(&[crate::cert::certify_bounds(
@@ -164,27 +184,36 @@ impl Session {
         Ok(sim)
     }
 
-    /// Governed whole-program simulation (legacy:
-    /// `loopmem_sim::try_simulate_program_with_threads`). Per-nest
-    /// failures degrade inside the result; see [`GovernedProgramSim`].
+    /// Governed whole-program simulation. Per-nest failures degrade
+    /// inside the result; see [`GovernedProgramSim`].
     ///
     /// # Errors
     ///
     /// Whole-program failures only (e.g. the global table fold exceeding
     /// the budget's table cap).
     pub fn simulate_program(&self, program: &Program) -> Result<GovernedProgramSim, AnalysisError> {
-        try_simulate_program_with_threads(program, self.thread_count(), &self.budget)
+        let tracker = BudgetTracker::new(&self.budget);
+        try_simulate_program_tracked(
+            program,
+            self.thread_count(),
+            &tracker,
+            self.budget.max_table_bytes(),
+        )
     }
 
-    /// Governed §4 transformation search on one nest (legacy:
-    /// [`crate::optimize::try_minimize_mws_with_threads`]).
+    /// Governed §4 transformation search on one nest: the exact MWS of
+    /// the original nest and of the best legal, tileable unimodular
+    /// transformation in the session's [`SearchMode`].
     ///
     /// # Errors
     ///
-    /// See [`crate::optimize::try_minimize_mws_with_threads`].
+    /// A budget trip degrades to [`AnalysisError::Exhausted`] carrying
+    /// the original nest's analytical bounds; an empty candidate space
+    /// reports [`AnalysisError::Invalid`]. See
+    /// [`crate::optimize`] for the search.
     pub fn optimize(&self, nest: &LoopNest) -> Result<Optimization, AnalysisError> {
         let tracker = BudgetTracker::new(&self.budget);
-        let opt = try_minimize_mws_tracked(
+        let opt = governed_search(
             0,
             nest,
             self.mode,
@@ -198,12 +227,13 @@ impl Session {
         Ok(opt)
     }
 
-    /// Governed program-wide optimization (legacy:
-    /// [`crate::program_opt::try_optimize_program_with_threads`]).
+    /// Governed program-wide optimization: the §4 search on every nest,
+    /// each transformation kept only when the whole program does not
+    /// regress. Per-nest failures keep that nest's original form.
     ///
     /// # Errors
     ///
-    /// See [`crate::program_opt::try_optimize_program_with_threads`].
+    /// Whole-program failures of the baseline simulation only.
     pub fn optimize_program(
         &self,
         program: &Program,
@@ -211,21 +241,29 @@ impl Session {
         governed_optimize_program(program, self.mode, self.thread_count(), &self.budget)
     }
 
-    /// Governed shared-scratchpad sizing without the fusion search
-    /// (legacy: [`crate::scratchpad::try_scratchpad_program_with_threads`]).
+    /// Governed shared-scratchpad sizing without the fusion search.
     ///
     /// # Errors
     ///
-    /// See [`crate::scratchpad::try_scratchpad_program`].
+    /// Only whole-program failures of the underlying simulation (e.g. the
+    /// global table fold exceeding the budget's table cap); per-nest
+    /// failures degrade to the size interval instead.
     pub fn scratchpad_sizing(
         &self,
         program: &Program,
     ) -> Result<GovernedScratchpad, AnalysisError> {
-        let tracker = BudgetTracker::new(&self.budget);
-        let governed = try_scratchpad_program_tracked(
+        self.sizing_with(program, &BudgetTracker::new(&self.budget))
+    }
+
+    fn sizing_with(
+        &self,
+        program: &Program,
+        tracker: &BudgetTracker,
+    ) -> Result<GovernedScratchpad, AnalysisError> {
+        let governed = sizing_tracked(
             program,
             self.thread_count(),
-            &tracker,
+            tracker,
             self.budget.max_table_bytes(),
         )?;
         if self.wants_certs() {
@@ -234,22 +272,31 @@ impl Session {
         Ok(governed)
     }
 
-    /// Governed scratchpad sizing plus the greedy fusion search (legacy:
-    /// [`crate::scratchpad::try_scratchpad_with_fusion`]). The search
-    /// runs only when the baseline sizing is exact; on a degraded
-    /// baseline the plan is `None` and the interval stands alone.
+    /// Governed scratchpad sizing plus the greedy fusion search. The
+    /// search runs only when the baseline sizing is exact; on a degraded
+    /// baseline the plan is `None` and the interval stands alone. Every
+    /// candidate re-sizing is charged to the same budget as the baseline,
+    /// and the first candidate the budget cannot size exactly ends the
+    /// search with the steps accepted so far.
     ///
     /// # Errors
     ///
-    /// See [`crate::scratchpad::try_scratchpad_program`].
+    /// See [`scratchpad_sizing`](Session::scratchpad_sizing).
     pub fn scratchpad(
         &self,
         program: &Program,
     ) -> Result<(GovernedScratchpad, Option<ScratchpadPlan>), AnalysisError> {
-        let baseline = self.scratchpad_sizing(program)?;
-        let plan = baseline
-            .all_exact()
-            .then(|| scratchpad_with_fusion(program, self.thread_count()));
+        let tracker = BudgetTracker::new(&self.budget);
+        let baseline = self.sizing_with(program, &tracker)?;
+        let plan = baseline.all_exact().then(|| {
+            fusion_search(
+                program,
+                baseline.sizing.clone(),
+                self.thread_count(),
+                &tracker.untraced(),
+                self.budget.max_table_bytes(),
+            )
+        });
         if let (Some(sink), Some(plan)) = (self.budget.trace(), plan.as_ref()) {
             sink.record_all(fusion_step_events(&plan.steps));
         }

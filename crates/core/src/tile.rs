@@ -150,9 +150,10 @@ pub fn tile_count(nest: &LoopNest, tile_sizes: &[i64]) -> Result<i64, TileError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::exact_sim as simulate;
     use loopmem_dep::{analyze, is_tileable};
     use loopmem_ir::parse;
-    use loopmem_sim::{count_iterations, misses, simulate, Policy, Trace};
+    use loopmem_sim::{count_iterations, misses, Policy, Trace};
 
     fn matmult() -> LoopNest {
         parse(

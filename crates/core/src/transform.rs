@@ -112,8 +112,9 @@ pub fn apply_transform(nest: &LoopNest, t: &IMat) -> Result<LoopNest, TransformE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::exact_sim as simulate;
     use loopmem_ir::parse;
-    use loopmem_sim::{count_iterations, simulate};
+    use loopmem_sim::count_iterations;
 
     fn example8() -> LoopNest {
         parse(

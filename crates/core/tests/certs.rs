@@ -9,15 +9,14 @@
 //!    certificate kind makes the independent checker reject. (Provenance
 //!    strings like `reason` are deliberately unchecked.)
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
-use loopmem_core::{
-    branch_and_bound, certify_bnb, certify_fusion, certify_optimization, certify_sizing,
-    scratchpad_with_fusion,
-};
+use loopmem_core::{certify_bnb, certify_fusion, certify_optimization, certify_sizing};
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
 use loopmem_verify::{
     check_certificates, parse_certificates, Certificate, FrontierEntry, PrunedBox,
 };
+
+mod common;
+use common::{fusion_plan, minimize, unbudgeted_bnb};
 
 fn example8() -> LoopNest {
     parse(
@@ -57,16 +56,16 @@ fn pipeline_program() -> Program {
 /// Every certificate kind, emitted from real runs on its program.
 fn all_real_certs() -> Vec<(Program, Vec<Certificate>)> {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = minimize(&nest);
     let opt_certs = certify_optimization(0, &nest, &opt);
 
     let cone = cone_nest();
     let deps = loopmem_dep::analyze(&cone);
-    let bnb = branch_and_bound((1, 2), &deps, (98, 81), 8).unwrap();
+    let bnb = unbudgeted_bnb((1, 2), &deps, (98, 81), 8).unwrap();
     let bnb_cert = certify_bnb(0, 8, &bnb).expect("rank-1 cone certifies its prunes");
 
     let program = pipeline_program();
-    let plan = scratchpad_with_fusion(&program, 1);
+    let plan = fusion_plan(&program);
     let sp_certs = vec![certify_sizing(&plan.unfused), certify_fusion(&plan)];
 
     vec![
@@ -101,7 +100,7 @@ fn assert_rejected(program: &Program, cert: Certificate, what: &str) {
 #[test]
 fn legality_mutations_are_rejected() {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = minimize(&nest);
     let certs = certify_optimization(0, &nest, &opt);
     let program = example8_program();
     let Certificate::Legality(base) = &certs[0] else {
@@ -152,7 +151,7 @@ fn legality_mutations_are_rejected() {
 fn cone_prune_mutations_are_rejected() {
     let cone = cone_nest();
     let deps = loopmem_dep::analyze(&cone);
-    let bnb = branch_and_bound((1, 2), &deps, (98, 81), 8).unwrap();
+    let bnb = unbudgeted_bnb((1, 2), &deps, (98, 81), 8).unwrap();
     let cert = certify_bnb(0, 8, &bnb).unwrap();
     let program = Program::new(vec![cone]).unwrap();
     let Certificate::ConePrune(base) = &cert else {
@@ -201,7 +200,7 @@ fn cone_prune_mutations_are_rejected() {
 #[test]
 fn optimality_mutations_are_rejected() {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = minimize(&nest);
     let certs = certify_optimization(0, &nest, &opt);
     let program = example8_program();
     let Certificate::Optimality(base) = &certs[1] else {
@@ -270,7 +269,7 @@ fn optimality_mutations_are_rejected() {
 #[test]
 fn bounds_mutations_are_rejected() {
     let nest = example8();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = minimize(&nest);
     let certs = certify_optimization(0, &nest, &opt);
     let program = example8_program();
     let Certificate::Bounds(base) = &certs[2] else {
@@ -305,7 +304,7 @@ fn bounds_mutations_are_rejected() {
 #[test]
 fn sizing_and_fusion_mutations_are_rejected() {
     let program = pipeline_program();
-    let plan = scratchpad_with_fusion(&program, 1);
+    let plan = fusion_plan(&program);
     let sizing = certify_sizing(&plan.unfused);
     let fusion = certify_fusion(&plan);
     let Certificate::Sizing(sbase) = &sizing else {
@@ -371,4 +370,59 @@ fn sizing_and_fusion_mutations_are_rejected() {
     let mut c = fbase.clone();
     c.steps.clear();
     assert_rejected(&program, Certificate::Fusion(c), "fusion.steps (cleared)");
+}
+
+/// Regression: on this nest the 1-D solution family of `A[i]` spans more
+/// than 10^6 values of `t`, which dependence analysis used to truncate to
+/// its first member. The `(0, 1)` flow dependence went missing, the search
+/// picked the illegal `T = [[-1, -2], [0, -1]]`, and the checker — which
+/// re-runs the same analysis — accepted its empty-evaluation certificate.
+#[test]
+fn checker_rejects_the_transform_a_truncated_family_allowed() {
+    let nest = parse(
+        "array A[3]\narray B[600001]\n\
+         for i = 1 to 2 { for j = 1 to 600000 { A[i] = A[i] + B[j]; } }",
+    )
+    .unwrap();
+    let program = Program::new(vec![nest]).unwrap();
+    let cert = Certificate::Legality(loopmem_verify::LegalityCert {
+        nest: 0,
+        transform: vec![vec![-1, -2], vec![0, -1]],
+        evaluations: Vec::new(),
+        tileable: false,
+    });
+    let violations = check_certificates(&program, &[cert]);
+    assert!(!violations.is_empty(), "illegal transform accepted");
+}
+
+/// A dependence set truncated at the enumeration's work cap admits only
+/// the identity: the checker rejects any other legality claim even when
+/// its recorded evaluations match the re-derived distance set.
+#[test]
+fn checker_allows_only_the_identity_on_a_truncated_dependence_set() {
+    let nest = parse("array X[2]\nfor i = 1 to 300 { for j = 1 to 300 { X[1] = X[1]; } }").unwrap();
+    let deps = loopmem_dep::analyze(&nest);
+    assert!(deps.is_truncated());
+    let program = Program::new(vec![nest]).unwrap();
+    let legality = |rows: Vec<Vec<i64>>| {
+        let t = loopmem_linalg::IMat::from_rows(&rows);
+        Certificate::Legality(loopmem_verify::LegalityCert {
+            nest: 0,
+            transform: rows,
+            evaluations: loopmem_dep::constraining_distances(&deps)
+                .into_iter()
+                .map(|d| loopmem_verify::DistanceImage {
+                    image: t.mul_vec(&d),
+                    distance: d,
+                })
+                .collect(),
+            tileable: false,
+        })
+    };
+    assert_eq!(
+        check_certificates(&program, &[legality(vec![vec![1, 0], vec![0, 1]])]),
+        vec![]
+    );
+    let skew = check_certificates(&program, &[legality(vec![vec![1, 0], vec![1, 1]])]);
+    assert!(skew.iter().any(|v| v.code == "LM7001"), "{skew:?}");
 }

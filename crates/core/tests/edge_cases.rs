@@ -1,23 +1,25 @@
 //! Edge cases across the whole analysis stack: degenerate depths, empty
 //! ranges, single iterations, and extreme offsets.
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
-use loopmem_core::{analyze_memory, apply_transform, estimate_distinct};
+use loopmem_core::{analyze_memory, apply_transform, estimate_distinct, Session};
 use loopmem_ir::{parse, ArrayId};
 use loopmem_linalg::IMat;
-use loopmem_sim::{count_iterations, simulate};
+use loopmem_sim::count_iterations;
+
+mod common;
+use common::{exact_sim as simulate, minimize};
 
 #[test]
 fn one_deep_nest_full_stack() {
     let nest = parse("array A[20]\nfor i = 1 to 10 { A[i] = A[i - 1]; }").unwrap();
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&Session::new(), &nest).unwrap();
     assert_eq!(m.distinct_exact_total, 11);
     assert_eq!(m.mws_exact, 1, "one element live between iterations");
     let est = estimate_distinct(&nest)[&ArrayId(0)];
     assert_eq!(est.value(), Some(2 * 10 - 9)); // §3.1 with r = 2
                                                // Optimizer on a 1-deep nest: only identity and reversal exist, and
                                                // reversal is illegal here.
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = minimize(&nest);
     assert_eq!(opt.mws_after, 1);
     assert_eq!(opt.transform, IMat::identity(1));
 }
@@ -91,7 +93,7 @@ fn four_deep_optimizer_handles_identity_only_spaces() {
          } } } }",
     )
     .unwrap();
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = minimize(&nest);
     assert_eq!(opt.mws_after, opt.mws_before);
     assert_eq!(opt.mws_after, 2, "both scalars stay live throughout");
 }

@@ -1,9 +1,8 @@
-//! Governance semantics of the core search entry points: the `try_*`
+//! Governance semantics of the core search entry points: the session's
 //! optimizer and branch-and-bound must degrade deterministically, and a
 //! poisoned nest inside a program must not sink the whole batch search.
 
-use loopmem_core::optimize::{minimize_mws, try_minimize_mws_with_threads, SearchMode};
-use loopmem_core::{try_branch_and_bound, try_minimize_mws, try_optimize_program};
+use loopmem_core::{try_branch_and_bound, Session};
 use loopmem_dep::analyze;
 use loopmem_ir::{parse, parse_program, AnalysisError, TripReason};
 use loopmem_sim::AnalysisBudget;
@@ -14,13 +13,11 @@ fn example8() -> loopmem_ir::LoopNest {
 }
 
 #[test]
-fn unlimited_governed_search_matches_legacy() {
-    let nest = example8();
-    let legacy = minimize_mws(&nest, SearchMode::default()).unwrap();
-    let governed = try_minimize_mws(&nest, SearchMode::default(), &AnalysisBudget::unlimited())
+fn unlimited_governed_search_reaches_the_paper_minimum() {
+    let governed = Session::new()
+        .optimize(&example8())
         .expect("unlimited governed search succeeds");
-    assert_eq!(governed.mws_before, legacy.mws_before);
-    assert_eq!(governed.mws_after, legacy.mws_after);
+    assert_eq!(governed.mws_before, 44, "Example 8's exact original MWS");
     assert_eq!(governed.mws_after, 21, "the paper's actual minimum MWS");
 }
 
@@ -35,7 +32,11 @@ fn tripped_search_returns_the_original_nest_bounds_deterministically() {
     let errors: Vec<AnalysisError> = [1usize, 2, 4]
         .iter()
         .map(|&t| {
-            try_minimize_mws_with_threads(&nest, SearchMode::default(), t, &budget).unwrap_err()
+            Session::new()
+                .threads(t)
+                .budget(budget.clone())
+                .optimize(&nest)
+                .unwrap_err()
         })
         .collect();
     let AnalysisError::Exhausted { reason, partial } = &errors[0] else {
@@ -52,7 +53,8 @@ fn tripped_search_returns_the_original_nest_bounds_deterministically() {
 #[test]
 fn search_node_cap_trips_branch_and_bound() {
     let deps = analyze(&example8());
-    let exact = loopmem_core::branch_and_bound((2, 5), &deps, (25, 10), 6)
+    let exact = try_branch_and_bound((2, 5), &deps, (25, 10), 6, &AnalysisBudget::unlimited())
+        .expect("an unlimited budget never trips")
         .expect("feasible row exists")
         .objective;
     let budget = AnalysisBudget::unlimited().with_max_search_nodes(2);
@@ -89,12 +91,9 @@ fn program_search_skips_the_poisoned_nest() {
          for i = 800 to 900 { for j = i + 9223372036854775000 to 9223372036854775807 { B[1]; } }",
     )
     .unwrap();
-    let opt = try_optimize_program(
-        &program,
-        SearchMode::default(),
-        &AnalysisBudget::unlimited(),
-    )
-    .expect("batch search itself must not fail");
+    let opt = Session::new()
+        .optimize_program(&program)
+        .expect("batch search itself must not fail");
     assert_eq!(opt.per_nest.len(), 2);
     assert!(opt.per_nest[0].is_ok(), "healthy nest still optimizes");
     assert!(

@@ -2,16 +2,17 @@
 //! the branch-and-bound search. Deterministic (seeded `Lcg`), no external
 //! dependencies.
 
-use loopmem_core::optimize::{minimize_mws, SearchMode};
 use loopmem_core::{
-    apply_transform, branch_and_bound, three_level_estimate, tile, two_level_estimate,
-    two_level_objective,
+    apply_transform, three_level_estimate, tile, two_level_estimate, two_level_objective,
 };
 use loopmem_dep::analyze;
 use loopmem_ir::parse;
 use loopmem_linalg::gcd::gcd_i64;
 use loopmem_linalg::{IMat, Lcg, Rational};
-use loopmem_sim::{count_iterations, simulate};
+use loopmem_sim::count_iterations;
+
+mod common;
+use common::{exact_sim as simulate, minimize, unbudgeted_bnb};
 
 #[test]
 fn eq2_equals_continuous_objective_rounded_down_or_matches() {
@@ -131,7 +132,7 @@ fn bnb_matches_exhaustive_on_random_dependence_sets() {
         let nest = parse(&src).expect("parses");
         let deps = analyze(&nest);
         let bound = 4;
-        let bnb = branch_and_bound((a1, a2), &deps, (12, 9), bound);
+        let bnb = unbudgeted_bnb((a1, a2), &deps, (12, 9), bound);
         // Exhaustive reference.
         let mut best: Option<Rational> = None;
         for a in -bound..=bound {
@@ -192,8 +193,8 @@ fn optimizer_output_is_reproducible() {
             b = d2 + 4,
         );
         let nest = parse(&src).expect("parses");
-        let o1 = minimize_mws(&nest, SearchMode::default()).expect("search");
-        let o2 = minimize_mws(&nest, SearchMode::default()).expect("search");
+        let o1 = minimize(&nest);
+        let o2 = minimize(&nest);
         assert_eq!(o1.transform, o2.transform, "{src}");
         assert_eq!(o1.mws_after, o2.mws_after);
     }

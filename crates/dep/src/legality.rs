@@ -7,12 +7,17 @@ use loopmem_linalg::IMat;
 /// `true` when `t` is a legal transformation for the dependence set: every
 /// legality-constraining distance `δ` maps to a lexicographically positive
 /// `T·δ` (§2.1). Input (read-read) dependences never constrain legality.
+/// A [truncated](DependenceSet::is_truncated) set may be missing
+/// distances, so only the identity is legal for it.
 ///
 /// # Panics
 ///
 /// Panics if `t` is not square or its size differs from the distances.
 pub fn is_legal(t: &IMat, deps: &DependenceSet) -> bool {
     assert_eq!(t.nrows(), t.ncols(), "transformations are square");
+    if deps.is_truncated() {
+        return *t == IMat::identity(t.nrows());
+    }
     deps.iter()
         .filter(|d| d.kind.constrains_legality())
         .all(|d| lex_positive(&t.mul_vec(&d.distance)))
@@ -23,9 +28,13 @@ pub fn is_legal(t: &IMat, deps: &DependenceSet) -> bool {
 /// vector (full permutability, §4.2's `a·d₁ + b·d₂ ≥ 0` conditions after
 /// Irigoin–Triolet). Tiling legality implies lexicographic legality for
 /// unimodular `t` (a non-negative non-zero vector is lex-positive, and
-/// `T·δ ≠ 0` because `T` is invertible and `δ ≠ 0`).
+/// `T·δ ≠ 0` because `T` is invertible and `δ ≠ 0`). Nothing is tileable
+/// for a [truncated](DependenceSet::is_truncated) set.
 pub fn is_tileable(t: &IMat, deps: &DependenceSet) -> bool {
     assert_eq!(t.nrows(), t.ncols(), "transformations are square");
+    if deps.is_truncated() {
+        return false;
+    }
     deps.iter()
         .filter(|d| d.kind.constrains_legality())
         .all(|d| t.mul_vec(&d.distance).iter().all(|&x| x >= 0))
@@ -34,8 +43,12 @@ pub fn is_tileable(t: &IMat, deps: &DependenceSet) -> bool {
 /// Tiling legality for a single row of a prospective transformation:
 /// `row · δ ≥ 0` for every constraining distance. The §4.2 optimizer uses
 /// this to prune `(a, b)` candidates before completing them to a full
-/// matrix.
+/// matrix. No row is tileable for a
+/// [truncated](DependenceSet::is_truncated) set.
 pub fn row_tileable(row: &[i64], deps: &DependenceSet) -> bool {
+    if deps.is_truncated() {
+        return false;
+    }
     deps.iter()
         .filter(|d| d.kind.constrains_legality())
         .all(|d| {

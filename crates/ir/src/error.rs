@@ -1,7 +1,7 @@
 //! Typed analysis errors and analytical result bounds.
 //!
-//! Every `try_*` entry point in the workspace (`loopmem_sim::try_simulate*`,
-//! `loopmem_core::try_minimize_mws*`, ...) reports failure through
+//! Every governed analysis in the workspace (each `loopmem::Session` verb
+//! and the engine entry points beneath it) reports failure through
 //! [`AnalysisError`] instead of panicking. The variants mirror the failure
 //! modes of a governed analysis service:
 //!
@@ -13,8 +13,9 @@
 //! * [`AnalysisError::Overflow`] — an intermediate value (subscript,
 //!   iteration count, table size) left the representable range. Exact
 //!   simulation of such a nest is meaningless; no bound is claimed.
-//! * [`AnalysisError::Invalid`] — the input violates a precondition that
-//!   legacy entry points `assert!` on.
+//! * [`AnalysisError::Invalid`] — the input violates a precondition (or
+//!   the request has no answer, e.g. an empty transformation search
+//!   space).
 //! * [`AnalysisError::NestPanicked`] — a nest's worker panicked and the
 //!   panic was contained by `catch_unwind`; in multi-nest engines the rest
 //!   of the program still completes.
@@ -193,7 +194,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::Overflow { context } => write!(f, "arithmetic overflow: {context}"),
             AnalysisError::Invalid { message } => write!(f, "invalid input: {message}"),
             AnalysisError::NestPanicked { nest, message } => {
-                write!(f, "nest {nest} panicked: {message}")
+                write!(f, "nest {nest} aborted by a contained panic: {message}")
             }
         }
     }
@@ -239,7 +240,10 @@ mod tests {
             nest: 2,
             message: "affine eval overflow".into(),
         };
-        assert_eq!(format!("{err}"), "nest 2 panicked: affine eval overflow");
+        assert_eq!(
+            format!("{err}"),
+            "nest 2 aborted by a contained panic: affine eval overflow"
+        );
         assert!(err.bounds().is_none());
     }
 }

@@ -8,7 +8,7 @@
 //! this crate makes it *visible*. It defines a span/event/counter model
 //! ([`TraceEvent`]) and a sink trait ([`TraceSink`]) that the engine
 //! threads through its existing seams: `POLL_INTERVAL` budget polls,
-//! chunk commits in the dense engine, memo lookups in the optimizer,
+//! chunk commits in the dense engine, search spans in the optimizer,
 //! cone prunes in branch-and-bound, fault trips and prefix salvage,
 //! fusion steps and sizing terms, and certificate emission.
 //!
@@ -69,7 +69,7 @@ pub enum Phase {
     Pass1,
     /// Dense engine pass 2: difference-array prefix sum.
     Pass2,
-    /// Transformation search (candidate enumeration, memo, B&B).
+    /// Transformation search (candidate enumeration, B&B).
     Search,
     /// Scratchpad sizing and fusion.
     Sizing,
@@ -124,11 +124,6 @@ pub enum EventKind {
         hi: i64,
         /// Iterations the chunk executed.
         iters: u64,
-    },
-    /// One canonical-key memo probe in the optimizer.
-    MemoLookup {
-        /// Whether the probe hit.
-        hit: bool,
     },
     /// Branch-and-bound discarded boxes under a rank-1 dependence cone.
     ConePrune {
@@ -185,7 +180,6 @@ impl EventKind {
             EventKind::SpanEnd { .. } => "span-end",
             EventKind::Poll { .. } => "poll",
             EventKind::ChunkCommit { .. } => "chunk-commit",
-            EventKind::MemoLookup { .. } => "memo-lookup",
             EventKind::ConePrune { .. } => "cone-prune",
             EventKind::FaultTrip { .. } => "fault-trip",
             EventKind::Salvage { .. } => "salvage",
@@ -249,10 +243,6 @@ impl TraceEvent {
                 push_i64_field(&mut s, "lo", *lo);
                 push_i64_field(&mut s, "hi", *hi);
                 push_u64_field(&mut s, "iters", *iters);
-            }
-            EventKind::MemoLookup { hit } => {
-                s.push_str(",\"hit\":");
-                s.push_str(if *hit { "true" } else { "false" });
             }
             EventKind::ConePrune {
                 boxes,

@@ -5,8 +5,8 @@ use crate::{EventKind, Phase, TraceEvent};
 
 /// Counters aggregated from an event stream. Every field is *derived*
 /// from the events at report time — there is no second bookkeeping path
-/// to drift out of sync, which is what lets CI assert internal
-/// consistency (e.g. `memo_hits + memo_misses == memo_lookups`).
+/// to drift out of sync, which is what lets CI recount them from the
+/// events and reject a stream whose counters line disagrees.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceCounters {
     /// Spans opened (`span-begin` events).
@@ -19,12 +19,6 @@ pub struct TraceCounters {
     pub chunks_committed: u64,
     /// Iterations executed by committed chunks.
     pub chunk_iterations: u64,
-    /// Memo probes (`memo-lookup` events).
-    pub memo_lookups: u64,
-    /// Memo probes that hit.
-    pub memo_hits: u64,
-    /// Memo probes that missed.
-    pub memo_misses: u64,
     /// Boxes discarded by cone prunes.
     pub cone_boxes: u64,
     /// Injected faults that fired.
@@ -55,14 +49,6 @@ impl TraceCounters {
                     c.chunks_committed += 1;
                     c.chunk_iterations += iters;
                 }
-                EventKind::MemoLookup { hit } => {
-                    c.memo_lookups += 1;
-                    if *hit {
-                        c.memo_hits += 1;
-                    } else {
-                        c.memo_misses += 1;
-                    }
-                }
                 EventKind::ConePrune { boxes, .. } => c.cone_boxes += boxes,
                 EventKind::FaultTrip { .. } => c.fault_trips += 1,
                 EventKind::Salvage { .. } => c.salvages += 1,
@@ -78,17 +64,13 @@ impl TraceCounters {
     pub fn canonical_line(&self) -> String {
         format!(
             "{{\"counters\":{{\"spans\":{},\"polls\":{},\"charged_iterations\":{},\
-             \"chunks_committed\":{},\"chunk_iterations\":{},\"memo_lookups\":{},\
-             \"memo_hits\":{},\"memo_misses\":{},\"cone_boxes\":{},\"fault_trips\":{},\
-             \"salvages\":{},\"sizing_terms\":{},\"fusion_steps\":{},\"certificates\":{}}}}}",
+             \"chunks_committed\":{},\"chunk_iterations\":{},\"cone_boxes\":{},\
+             \"fault_trips\":{},\"salvages\":{},\"sizing_terms\":{},\"fusion_steps\":{},\"certificates\":{}}}}}",
             self.spans,
             self.polls,
             self.charged_iterations,
             self.chunks_committed,
             self.chunk_iterations,
-            self.memo_lookups,
-            self.memo_hits,
-            self.memo_misses,
             self.cone_boxes,
             self.fault_trips,
             self.salvages,
@@ -173,15 +155,13 @@ impl TraceReport {
         }
         let c = &self.counters;
         out.push_str(&format!(
-            "polls {} (charged {}) · chunks {} (iters {}) · memo {}/{} hit · \
-             cone boxes {} · faults {} · salvages {} · sizing terms {} · \
-             fusion steps {} · certificates {}\n",
+            "polls {} (charged {}) · chunks {} (iters {}) · cone boxes {} · \
+             faults {} · salvages {} · sizing terms {} · fusion steps {} · \
+             certificates {}\n",
             c.polls,
             c.charged_iterations,
             c.chunks_committed,
             c.chunk_iterations,
-            c.memo_hits,
-            c.memo_lookups,
             c.cone_boxes,
             c.fault_trips,
             c.salvages,
@@ -208,15 +188,16 @@ mod tests {
     }
 
     #[test]
-    fn memo_counters_are_internally_consistent() {
+    fn counters_are_derived_from_the_events() {
         let events = vec![
-            ev(EventKind::MemoLookup { hit: true }),
-            ev(EventKind::MemoLookup { hit: false }),
-            ev(EventKind::MemoLookup { hit: true }),
+            ev(EventKind::Poll { delta: 3 }),
+            ev(EventKind::Poll { delta: 4 }),
+            ev(EventKind::SpanBegin { label: "search" }),
         ];
         let c = TraceCounters::from_events(&events);
-        assert_eq!(c.memo_lookups, 3);
-        assert_eq!(c.memo_hits + c.memo_misses, c.memo_lookups);
+        assert_eq!(c.polls, 2);
+        assert_eq!(c.charged_iterations, 7);
+        assert_eq!(c.spans, 1);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 
 use loopmem_ir::parse_program;
 use loopmem_obs::{CollectingSink, TraceSink};
-use loopmem_sim::{try_simulate_program_with_threads, AnalysisBudget, FaultKind, FaultPlan};
+use loopmem_sim::{
+    try_simulate_program_tracked, AnalysisBudget, BudgetTracker, FaultKind, FaultPlan,
+};
 use std::sync::Arc;
 
 /// A triangular nest plus a rectangular one, so chunking is uneven and a
@@ -30,7 +32,8 @@ fn traced_ndjson(threads: usize, fault: Option<(FaultKind, u64, usize)>) -> Stri
         // Plans carry fire-once state, so each run builds its own.
         budget = budget.with_fault_plan(Arc::new(FaultPlan::new(kind, at_poll, nest)));
     }
-    let _ = try_simulate_program_with_threads(&program, threads, &budget);
+    let tracker = BudgetTracker::new(&budget);
+    let _ = try_simulate_program_tracked(&program, threads, &tracker, budget.max_table_bytes());
     sink.drain().render_ndjson()
 }
 

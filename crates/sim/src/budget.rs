@@ -183,8 +183,9 @@ pub struct BudgetTracker {
     deadline: Option<Instant>,
     max_iterations: Option<u64>,
     max_search_nodes: Option<u64>,
-    iterations: AtomicU64,
-    nodes: AtomicU64,
+    /// Shared with every [`untraced`](BudgetTracker::untraced) view.
+    iterations: Arc<AtomicU64>,
+    nodes: Arc<AtomicU64>,
     cancel: Option<CancelToken>,
     fault: Option<Arc<FaultPlan>>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -212,8 +213,8 @@ impl BudgetTracker {
             deadline: budget.timeout.map(|t| Instant::now() + t),
             max_iterations: budget.max_iterations,
             max_search_nodes: budget.max_search_nodes,
-            iterations: AtomicU64::new(0),
-            nodes: AtomicU64::new(0),
+            iterations: Arc::new(AtomicU64::new(0)),
+            nodes: Arc::new(AtomicU64::new(0)),
             cancel: budget.cancel.clone(),
             fault: budget.fault.clone(),
             trace: budget.trace().cloned(),
@@ -227,9 +228,27 @@ impl BudgetTracker {
         self.trace.as_ref()
     }
 
-    /// A tracker that never trips (legacy paths).
+    /// A tracker that never trips.
     pub fn unlimited() -> Self {
         Self::new(&AnalysisBudget::unlimited())
+    }
+
+    /// A view of this tracker with the trace sink detached: it charges the
+    /// same counters against the same deadline, caps, cancellation token
+    /// and fault plan, but narrates nothing. For governed work whose
+    /// events must not reach the trace (the fusion search's candidate
+    /// re-sizings), yet whose cost must stay on the run's budget.
+    pub fn untraced(&self) -> Self {
+        BudgetTracker {
+            deadline: self.deadline,
+            max_iterations: self.max_iterations,
+            max_search_nodes: self.max_search_nodes,
+            iterations: Arc::clone(&self.iterations),
+            nodes: Arc::clone(&self.nodes),
+            cancel: self.cancel.clone(),
+            fault: self.fault.clone(),
+            trace: None,
+        }
     }
 
     /// Charges `n` swept iterations and polls. Trip checks are ordered so

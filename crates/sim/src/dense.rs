@@ -41,8 +41,7 @@
 //!   profile costs one `i32` lane instead of per-array add/remove tables.
 
 use crate::budget::{
-    analytic_nest_bounds, estimated_iterations_of, panic_message, AnalysisBudget, BudgetTracker,
-    POLL_INTERVAL,
+    analytic_nest_bounds, estimated_iterations_of, panic_message, BudgetTracker, POLL_INTERVAL,
 };
 use crate::exec::{outer_range, try_for_each_inner_run, try_for_each_iteration_outer};
 use crate::window::{ArrayStats, SimResult};
@@ -92,10 +91,6 @@ const DENSE_BUDGET_BYTES: u128 = 768 << 20;
 /// worst-case number of accesses to the array; beyond that the hashmap is
 /// both smaller and not meaningfully slower.
 const SPARSITY_FACTOR: u128 = 64;
-
-/// Nests with (conservatively) fewer iterations than this are swept on
-/// one thread: thread spawn/merge overhead dominates below it.
-const PARALLEL_THRESHOLD: u128 = 1 << 17;
 
 /// Upper limit on the iterations a salvage pass re-sweeps after a budget
 /// trip. Keeps salvage cost bounded (a few milliseconds) even when the
@@ -923,16 +918,6 @@ fn chunk_ranges(nest: &LoopNest, lo: i64, hi: i64, parts: usize) -> Vec<(i64, i6
     out
 }
 
-/// Worker-thread count for a nest when the caller did not pin one:
-/// [`thread_count`] workers, except that small nests stay serial.
-pub(crate) fn auto_threads(nest: &LoopNest) -> usize {
-    if estimated_iterations(nest) < PARALLEL_THRESHOLD {
-        1
-    } else {
-        thread_count()
-    }
-}
-
 /// Pass 1 over the whole nest: plan, chunk, sweep (work-stealing when
 /// `threads > 1`), and fold the chunks strictly in chunk order. The
 /// returned tables are bit-identical for every `threads` value. On a
@@ -1136,26 +1121,6 @@ pub(crate) struct NestPass1 {
     pub first: Vec<Vec<u32>>,
     pub last: Vec<Vec<u32>>,
     pub sparse: Vec<HashMap<Vec<i64>, (u32, u32)>>,
-}
-
-/// Runs pass 1 only and hands the merged tables to the caller.
-pub(crate) fn pass1(nest: &LoopNest, threads: usize) -> NestPass1 {
-    let tracker = BudgetTracker::unlimited();
-    match sweep_all(nest, 0, threads, &tracker, None) {
-        Ok((plan, merged)) => NestPass1 {
-            iters: merged.iters,
-            accesses: merged.accesses,
-            boxes: plan.boxes,
-            first: merged.first,
-            last: merged.last,
-            sparse: merged.sparse,
-        },
-        // An unlimited tracker never trips; overflow keeps the legacy
-        // contract (panic) for callers without a governed path.
-        Err(SweepError::Trip(_)) => unreachable!("unlimited budget tripped"),
-        Err(SweepError::Overflow(msg)) => panic!("{msg}"),
-        Err(SweepError::Stopped) => unreachable!("no prefix quota was set"),
-    }
 }
 
 /// Benchmark hook: runs the lane-split pass-1 sweep only (no pass-2
@@ -1399,63 +1364,16 @@ pub(crate) fn try_pass1(
     }
 }
 
-/// Runs the dense engine with exactly the given worker-thread count.
-/// Results are bit-identical for every `threads` value and to the legacy
-/// hashmap engine: chunks partition the lexicographic iteration stream in
-/// order, and [`MergeState`] folds them strictly in chunk order no matter
-/// which worker swept which chunk.
-pub(crate) fn run(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
-    let narrays = nest.arrays().len();
-    let tracker = BudgetTracker::unlimited();
-    match sweep_all(nest, 0, threads, &tracker, None) {
-        Ok((_, merged)) => finish(narrays, merged, want_profile),
-        Err(SweepError::Trip(_)) => unreachable!("unlimited budget tripped"),
-        Err(SweepError::Overflow(msg)) => panic!("{msg}"),
-        Err(SweepError::Stopped) => unreachable!("no prefix quota was set"),
-    }
-}
-
-/// Governed dense-engine run: like [`run`], but never panics and never
-/// exceeds `budget`. On a budget trip the result degrades to analytical
-/// bounds carried inside [`AnalysisError::Exhausted`]; the payload depends
-/// only on the nest (interval analysis), not on sweep progress, so it is
-/// bit-identical for every thread count and steal order.
-pub(crate) fn try_run(
-    nest: &LoopNest,
-    want_profile: bool,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<SimResult, AnalysisError> {
-    let tracker = BudgetTracker::new(budget);
-    try_run_impl(
-        nest,
-        want_profile,
-        threads,
-        &tracker,
-        budget.max_table_bytes(),
-        true,
-    )
-}
-
-/// [`try_run`] charging an externally owned tracker, so a caller running
-/// many simulations (the optimizer's candidate sweep) shares one deadline
-/// and one cumulative iteration count across all of them. Trip payloads
-/// stay purely analytic here: the optimizer compares many candidates
-/// against one shared budget, and re-sweeping a salvage prefix per failed
-/// candidate would multiply the tripped budget's cost for bounds nobody
-/// reads (the search reports the *original* nest's bounds, not a
-/// candidate's).
+/// Governed dense-engine run charging `tracker` (see
+/// [`crate::window::try_simulate_tracked`]). Results are bit-identical for
+/// every `threads` value and to the reference hashmap engine: chunks
+/// partition the lexicographic iteration stream in order, and
+/// [`MergeState`] folds them strictly in chunk order no matter which
+/// worker swept which chunk. On a budget trip the payload is the salvaged
+/// prefix bound when `salvage` is on, the analytic enclosure otherwise;
+/// either depends only on the nest and the trip's logical position, never
+/// on thread count or steal order.
 pub(crate) fn try_run_tracked(
-    nest: &LoopNest,
-    want_profile: bool,
-    threads: usize,
-    tracker: &BudgetTracker,
-    max_table_bytes: Option<u64>,
-) -> Result<SimResult, AnalysisError> {
-    try_run_impl(nest, want_profile, threads, tracker, max_table_bytes, false)
-}
-
-fn try_run_impl(
     nest: &LoopNest,
     want_profile: bool,
     threads: usize,
@@ -1490,11 +1408,29 @@ fn try_run_impl(
     }
 }
 
+/// Exact unbudgeted run for the crate's unit tests.
+#[cfg(test)]
+pub(crate) fn exact(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
+    try_run_tracked(
+        nest,
+        want_profile,
+        threads,
+        &BudgetTracker::unlimited(),
+        None,
+        true,
+    )
+    .expect("test nests simulate exactly")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::window::{simulate_hashmap_with_profile, SimResult};
     use loopmem_ir::parse;
+
+    fn run(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
+        exact(nest, want_profile, threads)
+    }
 
     fn assert_same(a: &SimResult, b: &SimResult) {
         assert_eq!(a.iterations, b.iterations);
@@ -1555,8 +1491,8 @@ mod tests {
         );
         // The sparse path then reports the genuine subscript overflow
         // instead of simulating a wrapped offset.
-        let err = crate::window::try_simulate(&nest, &crate::budget::AnalysisBudget::unlimited())
-            .unwrap_err();
+        let err =
+            try_run_tracked(&nest, false, 1, &BudgetTracker::unlimited(), None, true).unwrap_err();
         assert!(
             matches!(err, loopmem_ir::AnalysisError::Overflow { .. }),
             "expected a subscript overflow report, got {err:?}"

@@ -172,7 +172,7 @@ mod tests {
         let nest =
             parse("array A[20][20]\nfor i = 2 to 18 { for j = 1 to 18 { A[i][j] = A[i-1][j]; } }")
                 .unwrap();
-        let sim = crate::window::simulate(&nest);
+        let sim = crate::dense::exact(&nest, false, 1);
         let (stats, _) = line_analysis(&nest, &[Layout::RowMajor], 1);
         assert_eq!(stats.distinct_lines, sim.distinct_total());
         assert_eq!(stats.mws_lines, sim.mws_total);

@@ -16,16 +16,28 @@
 //!   model (CACTI-shaped, documented in DESIGN.md) quantifying the §1
 //!   motivation: smaller working sets ⇒ smaller memories ⇒ less energy.
 //!
+//! Every simulation is governed: it charges a [`BudgetTracker`]
+//! materialized from an [`AnalysisBudget`], never panics, and degrades to
+//! analytical bounds when the budget trips. The engine has exactly two
+//! entry points, one per nest ([`try_simulate_tracked`]) and one per
+//! program ([`try_simulate_program_tracked`]). Applications reach them
+//! through `loopmem::Session` (defined in `loopmem-core`, which this crate
+//! cannot depend on), which owns the budget, thread count and trace sink.
+//!
 //! # Example
 //!
 //! Example 8's exact window behaviour:
 //!
 //! ```
+//! use loopmem_sim::{try_simulate_tracked, AnalysisBudget, BudgetTracker};
+//!
 //! let nest = loopmem_ir::parse(r#"
 //!     array X[200]
 //!     for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }
 //! "#).unwrap();
-//! let stats = loopmem_sim::simulate(&nest);
+//! let budget = AnalysisBudget::unlimited().with_max_iterations(2_000_000);
+//! let tracker = BudgetTracker::new(&budget);
+//! let stats = try_simulate_tracked(&nest, false, 1, &tracker, None, true).unwrap();
 //! assert_eq!(stats.mws_total, 44); // the closed form estimates 50
 //! ```
 
@@ -52,15 +64,10 @@ pub use exec::{
 pub use faults::{FaultKind, FaultPlan, INJECTED_PANIC};
 pub use layout::{line_analysis, AddressMap, Layout, LineStats};
 pub use memory::{MemoryReport, ScratchpadModel};
-pub use program::{
-    simulate_program, simulate_program_with_threads, try_simulate_program,
-    try_simulate_program_tracked, try_simulate_program_with_threads, GovernedProgramSim,
-    ProgramSimResult,
-};
+pub use program::{try_simulate_program_tracked, GovernedProgramSim, ProgramSimResult};
 pub use replacement::{min_perfect_capacity, miss_curve, misses, Policy, Trace};
 pub use reuse_distance::ReuseHistogram;
 pub use window::{
-    oracle_simulate, simulate, simulate_hashmap, simulate_hashmap_with_profile,
-    simulate_with_profile, simulate_with_threads, try_simulate, try_simulate_tracked,
-    try_simulate_with_threads, ArrayStats, SimResult,
+    oracle_simulate, simulate_hashmap, simulate_hashmap_with_profile, try_simulate_tracked,
+    ArrayStats, SimResult,
 };

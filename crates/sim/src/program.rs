@@ -7,7 +7,7 @@
 //! inter-phase buffer.
 //!
 //! Pass 1 (touch recording) is *sharded across nests*: each nest runs the
-//! dense engine's pass 1 ([`crate::dense::pass1`] — flat touch tables,
+//! dense engine's governed pass 1 (`crate::dense::try_pass1` — flat touch tables,
 //! work-stealing chunks) in nest-local time, so a scoped-thread pool can
 //! sweep the nests concurrently — workers pull nest indices from an
 //! atomic queue, exactly like the dense engine's chunk queue. The
@@ -20,7 +20,7 @@
 //! disjoint nest boxes) land in a per-array overflow map keyed by
 //! coordinates.
 
-use crate::budget::{analytic_nest_bounds, analytic_program_bounds, AnalysisBudget, BudgetTracker};
+use crate::budget::{analytic_nest_bounds, analytic_program_bounds, BudgetTracker};
 use crate::dense::{self, NestPass1, UNTOUCHED};
 use loopmem_ir::{AnalysisError, ArrayId, Bounds, BoundsMethod, ElementBox, Program, TripReason};
 use loopmem_obs::{EventKind, Phase, TraceEvent};
@@ -58,8 +58,8 @@ pub struct ProgramSimResult {
     /// window occurred.
     pub peak_nest: usize,
     /// Exact single-nest MWS per nest, computed from each nest's own
-    /// pass-1 tables in nest-local time (equals `simulate(nest).mws_total`
-    /// for every nest, without re-sweeping the iteration space).
+    /// pass-1 tables in nest-local time (equals the nest's own simulated
+    /// MWS, without re-sweeping the iteration space).
     pub per_nest_mws: Vec<u64>,
     /// Per nest `k`: elements whose lifetime crosses a boundary of nest
     /// `k` — live at its entry (`first` in an earlier nest), at its exit
@@ -77,52 +77,15 @@ impl ProgramSimResult {
     }
 }
 
-/// Pass 1 over every nest, sharded on a scoped-thread pool. Workers steal
-/// nest indices from an atomic queue; outputs land in their nest's slot,
-/// so downstream merging is independent of completion order. A
-/// single-nest program hands the whole pool to that nest's chunk queue;
+/// Governed pass 1 over every nest, sharded on a scoped-thread pool.
+/// Workers steal nest indices from an atomic queue; outputs land in their
+/// nest's slot, so downstream merging is independent of completion order.
+/// A single-nest program hands the whole pool to that nest's chunk queue;
 /// otherwise leftover threads (`threads > nests`) split evenly across the
-/// nest sweeps.
-fn sweep_nests_sharded(program: &Program, threads: usize) -> Vec<NestPass1> {
-    let nests = program.nests();
-    let threads = threads.max(1);
-    if threads == 1 {
-        return nests.iter().map(|n| dense::pass1(n, 1)).collect();
-    }
-    if nests.len() == 1 {
-        return vec![dense::pass1(&nests[0], threads)];
-    }
-    let workers = threads.min(nests.len());
-    let per_nest = (threads / workers).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<NestPass1>>> = nests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= nests.len() {
-                    break;
-                }
-                let out = dense::pass1(&nests[k], per_nest);
-                *slots[k].lock().expect("slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every nest swept")
-        })
-        .collect()
-}
-
-/// Governed pass 1 over every nest: same sharding as
-/// [`sweep_nests_sharded`], but each nest runs through
-/// [`dense::try_pass1`], which contains panics with `catch_unwind` and
-/// polls the shared tracker — so one poisoned or over-budget nest yields a
-/// per-nest error while the remaining nests complete.
+/// nest sweeps. Each nest runs through [`dense::try_pass1`], which
+/// contains panics with `catch_unwind` and polls the shared tracker — so
+/// one poisoned or over-budget nest yields a per-nest error while the
+/// remaining nests complete.
 fn try_sweep_nests_sharded(
     program: &Program,
     threads: usize,
@@ -323,29 +286,10 @@ fn fold_dense_table(
     }
 }
 
-/// Simulates the program (every nest in order) with exact window
-/// tracking across nest boundaries. Uses every available worker thread
-/// ([`crate::thread_count`]); results are bit-identical for any count.
-///
-/// The unified front door for analysis is `loopmem::Session` (defined in
-/// `loopmem-core`); see `Session::simulate_program`.
-pub fn simulate_program(program: &Program) -> ProgramSimResult {
-    simulate_program_with_threads(program, crate::dense::thread_count())
-}
-
-/// [`simulate_program`] with a pinned worker-thread count. Pass-1 sweeps
-/// shard across nests; the fold and pass-2 sweep are serial, so the result
-/// is bit-identical for every `threads` value.
-pub fn simulate_program_with_threads(program: &Program, threads: usize) -> ProgramSimResult {
-    let narrays = program.arrays().len();
-    let per_nest = sweep_nests_sharded(program, threads);
-    assemble(narrays, per_nest.into_iter().map(Some).collect(), None)
-}
-
 /// Exact single-nest MWS straight off one nest's pass-1 tables (nest-local
 /// 32-bit time): one difference lane, the same sweep the serial pass 2 of
-/// `simulate` runs — so `nest_mws_from_tables(pass1(nest, _)) ==
-/// simulate(nest).mws_total` without re-sweeping the iteration space.
+/// a single-nest simulation runs — so it equals that nest's own exact MWS
+/// without re-sweeping the iteration space.
 fn nest_mws_from_tables(np: &NestPass1) -> u64 {
     let iters = np.iters as usize;
     if iters == 0 {
@@ -530,8 +474,8 @@ pub struct GovernedProgramSim {
     /// analysis failed (`Exhausted` entries carry that nest's own
     /// analytical MWS bounds).
     pub per_nest: Vec<Result<u64, AnalysisError>>,
-    /// Exact window tracking over the successful nests only. Equal to the
-    /// full [`simulate_program_with_threads`] result when
+    /// Exact window tracking over the successful nests only. The full
+    /// program's exact simulation when
     /// [`all_exact`](GovernedProgramSim::all_exact) holds.
     pub sim: ProgramSimResult,
     /// Bounds on the *full* program's MWS. A point interval when every
@@ -549,39 +493,23 @@ impl GovernedProgramSim {
     }
 }
 
-/// Governed [`simulate_program`]: auto thread count, see
-/// [`try_simulate_program_with_threads`].
-pub fn try_simulate_program(
-    program: &Program,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramSim, AnalysisError> {
-    try_simulate_program_with_threads(program, crate::dense::thread_count(), budget)
-}
-
-/// Governed whole-program simulation. Each nest's pass 1 is wrapped in
-/// `catch_unwind` (a poisoned nest yields [`AnalysisError::NestPanicked`]
-/// for that nest while the rest of the program completes) and polls the
-/// shared budget tracker. Per-nest failures degrade that nest to
-/// analytical bounds; the program-level result composes the exact subset
-/// simulation with those bounds. The top-level `Err` is reserved for
-/// whole-program failures (the global fold itself exceeding
-/// `max_table_bytes`).
+/// Governed whole-program simulation, charging an externally owned
+/// tracker — the one program entry point of the engine.
+/// `loopmem::Session::simulate_program` materializes its budget into a
+/// tracker and calls this; callers interleaving program simulations with
+/// other governed work (the program-level optimizer's greedy accept loop,
+/// the fusion search) share one deadline and one cumulative iteration
+/// count across all of it.
 ///
-/// `loopmem::Session::simulate_program` is the front-door equivalent;
-/// the facade's `session_equivalence` tests pin the two bit-identical.
-pub fn try_simulate_program_with_threads(
-    program: &Program,
-    threads: usize,
-    budget: &AnalysisBudget,
-) -> Result<GovernedProgramSim, AnalysisError> {
-    let tracker = BudgetTracker::new(budget);
-    try_simulate_program_tracked(program, threads, &tracker, budget.max_table_bytes())
-}
-
-/// [`try_simulate_program_with_threads`] charging an externally owned
-/// tracker, so a caller interleaving program simulations with other
-/// governed work (the program-level optimizer's greedy accept loop) shares
-/// one deadline and one cumulative iteration count across all of it.
+/// Each nest's pass 1 is wrapped in `catch_unwind` (a poisoned nest
+/// yields [`AnalysisError::NestPanicked`] for that nest while the rest of
+/// the program completes) and polls the shared tracker. Per-nest failures
+/// degrade that nest to analytical bounds; the program-level result
+/// composes the exact subset simulation with those bounds. Pass-1 sweeps
+/// shard across nests; the fold and pass-2 sweep are serial, so the
+/// result is bit-identical for every `threads` value. The top-level `Err`
+/// is reserved for whole-program failures (the global fold itself
+/// exceeding `max_table_bytes`).
 pub fn try_simulate_program_tracked(
     program: &Program,
     threads: usize,
@@ -688,15 +616,26 @@ pub fn try_simulate_program_tracked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::simulate;
-    use loopmem_ir::parse_program;
+    use crate::window::SimResult;
+    use loopmem_ir::{parse_program, LoopNest};
+
+    fn simulate(nest: &LoopNest) -> SimResult {
+        dense::exact(nest, false, 1)
+    }
+
+    fn exact_program(program: &Program, threads: usize) -> ProgramSimResult {
+        let gov = try_simulate_program_tracked(program, threads, &BudgetTracker::unlimited(), None)
+            .expect("test programs fit the fold");
+        assert!(gov.all_exact());
+        gov.sim
+    }
 
     #[test]
     fn single_nest_program_matches_nest_simulation() {
         let src = "array X[200]\n\
                    for i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }";
         let p = parse_program(src).unwrap();
-        let ps = simulate_program(&p);
+        let ps = exact_program(&p, 2);
         let ns = simulate(&p.nests()[0]);
         assert_eq!(ps.mws_total, ns.mws_total);
         assert_eq!(ps.distinct_total(), ns.distinct_total());
@@ -715,7 +654,7 @@ mod tests {
              for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = exact_program(&p, 2);
         assert_eq!(ps.boundary_live, vec![64], "all of A crosses the boundary");
         assert!(ps.mws_total >= 64);
         // Per-nest analysis sees only tiny windows — the whole point.
@@ -730,7 +669,7 @@ mod tests {
              for i = 1 to 8 { B[i] = B[i] + 1; }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = exact_program(&p, 2);
         assert_eq!(ps.boundary_live, vec![0]);
         assert_eq!(ps.distinct_total(), 16);
     }
@@ -746,7 +685,7 @@ mod tests {
              for i = 1 to 6 { for j = 1 to 6 { C[i][j] = C[i][j] + 1; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = exact_program(&p, 2);
         assert_eq!(ps.per_nest_iterations, vec![36, 36, 36]);
         assert_eq!(ps.boundary_live.len(), 2);
         assert_eq!(ps.boundary_live[0], 36, "B crosses boundary 0");
@@ -762,9 +701,9 @@ mod tests {
              for i = 2 to 20 { for j = 1 to 20 { A[i][j] = A[i-1][j]; } }",
         )
         .unwrap();
-        let one = simulate_program_with_threads(&p, 1);
+        let one = exact_program(&p, 1);
         for threads in [2, 3, 4, 8] {
-            let par = simulate_program_with_threads(&p, threads);
+            let par = exact_program(&p, threads);
             assert_eq!(par.per_nest_iterations, one.per_nest_iterations);
             assert_eq!(par.mws_total, one.mws_total);
             assert_eq!(par.boundary_live, one.boundary_live);
@@ -787,7 +726,7 @@ mod tests {
              for i = 1 to 20 { for j = 1 to 20 { B[i][j] = B[i][j] + 1; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = exact_program(&p, 2);
         for (k, nest) in p.nests().iter().enumerate() {
             assert_eq!(
                 ps.per_nest_mws[k],
@@ -807,7 +746,7 @@ mod tests {
              for i = 1 to 8 { for j = 1 to 8 { C[i][j] = A[i][j] + A[i][j]; } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = exact_program(&p, 2);
         assert_eq!(ps.live_through, vec![64, 64]);
         // An element spanning all three nests counts once per nest it
         // crosses, not once per boundary: union, not sum.
@@ -818,7 +757,7 @@ mod tests {
              for i = 1 to 5 { A[i] = A[i] + B[i]; }",
         )
         .unwrap();
-        let ps3 = simulate_program(&p3);
+        let ps3 = exact_program(&p3, 2);
         // Nest 1: A passes over it (5, in cross set), B enters and exits
         // within... B first-touched in nest 1, last in nest 2: crosses its
         // exit only (5). Union = 10.
@@ -840,7 +779,7 @@ mod tests {
              for t = 1 to 2 { for i = 1 to 12 { for j = 1 to 12 { B[i][j] = B[i][j] + 1; } } }",
         )
         .unwrap();
-        let ps = simulate_program(&p);
+        let ps = exact_program(&p, 2);
         assert_eq!(ps.peak_nest, 1);
         assert_eq!(ps.mws_total, 144);
     }

@@ -39,8 +39,8 @@ pub struct SimResult {
     /// Maximum over iterations of the *summed* per-array window sizes —
     /// the multi-array MWS of §2.3.
     pub mws_total: u64,
-    /// Total live-element count after each iteration (only populated by
-    /// [`simulate_with_profile`]); `profile[t]` is `Σ_X |W_X(I_t)|`.
+    /// Total live-element count after each iteration (only populated when
+    /// the profile is requested); `profile[t]` is `Σ_X |W_X(I_t)|`.
     pub profile: Option<Vec<u64>>,
 }
 
@@ -62,74 +62,40 @@ impl SimResult {
     }
 }
 
-/// Simulates the nest and returns exact statistics (no profile).
+/// Exact simulation of one nest, charging an externally owned
+/// [`BudgetTracker`](crate::budget::BudgetTracker) — the one nest entry
+/// point of the dense engine. `loopmem::Session::simulate` materializes
+/// its budget into a tracker and calls this; the §4 optimizer sweeps
+/// every candidate against a single shared tracker (one deadline, one
+/// cumulative iteration count). `max_table_bytes` caps the dense touch
+/// tables exactly as
+/// [`AnalysisBudget::with_max_table_bytes`](crate::budget::AnalysisBudget::with_max_table_bytes)
+/// would. Never panics: overflow and contained panics surface as typed
+/// [`AnalysisError`](loopmem_ir::AnalysisError) variants, and results are
+/// bit-identical for every `threads` value.
 ///
-/// Runs the dense-event engine ([`crate::dense`]): flat touch tables with
-/// a hashmap fallback, swept in parallel for large nests (worker count
-/// from `LOOPMEM_THREADS`, defaulting to the available parallelism).
-///
-/// The unified front door for analysis — carrying threads, budget, fault
-/// plan and trace sink in one builder — is `loopmem::Session` (defined in
-/// `loopmem-core`, which this crate cannot depend on).
-pub fn simulate(nest: &LoopNest) -> SimResult {
-    crate::dense::run(nest, false, crate::dense::auto_threads(nest))
-}
-
-/// Simulates the nest, additionally recording the per-iteration total
-/// window profile (costs one `u64` per iteration).
-pub fn simulate_with_profile(nest: &LoopNest) -> SimResult {
-    crate::dense::run(nest, true, crate::dense::auto_threads(nest))
-}
-
-/// Simulates with a pinned worker-thread count (and optional profile).
-/// The result is bit-identical for every `threads` value; use `threads =
-/// 1` when the caller is itself running simulations on a thread pool.
-pub fn simulate_with_threads(nest: &LoopNest, want_profile: bool, threads: usize) -> SimResult {
-    crate::dense::run(nest, want_profile, threads)
-}
-
-/// Governed simulation: like [`simulate`], but never panics and respects
-/// `budget`. On a budget trip the error carries analytical MWS bounds
-/// ([`crate::budget::analytic_nest_bounds`]); arithmetic overflow and
-/// contained panics surface as typed [`AnalysisError`] variants.
-pub fn try_simulate(
-    nest: &LoopNest,
-    budget: &crate::budget::AnalysisBudget,
-) -> Result<SimResult, loopmem_ir::AnalysisError> {
-    crate::dense::try_run(nest, false, crate::dense::auto_threads(nest), budget)
-}
-
-/// Governed variant of [`simulate_with_threads`]. Exact results and
-/// `Exhausted` payloads are both bit-identical for every `threads` value
-/// (the analytical fallback depends only on the nest, never on how far a
-/// particular sweep got).
-///
-/// `loopmem::Session::simulate` is the front-door equivalent; the
-/// facade's `session_equivalence` tests pin the two bit-identical.
-pub fn try_simulate_with_threads(
-    nest: &LoopNest,
-    want_profile: bool,
-    threads: usize,
-    budget: &crate::budget::AnalysisBudget,
-) -> Result<SimResult, loopmem_ir::AnalysisError> {
-    crate::dense::try_run(nest, want_profile, threads, budget)
-}
-
-/// Governed simulation charging an externally owned
-/// [`BudgetTracker`](crate::budget::BudgetTracker) — for callers
-/// coordinating several simulations under one deadline and one cumulative
-/// iteration budget (the §4 optimizer sweeps every candidate against a
-/// single tracker). `max_table_bytes` caps the dense touch tables exactly
-/// as [`AnalysisBudget::with_max_table_bytes`](crate::budget::AnalysisBudget::with_max_table_bytes)
-/// would.
+/// On a budget trip the error carries MWS bounds. With `salvage` on, a
+/// trip at a deterministic logical position re-sweeps that stream prefix
+/// for a tighter lower bound; with it off the payload is purely analytic
+/// ([`crate::budget::analytic_nest_bounds`]) — what a caller comparing
+/// many candidates against one budget wants, since it reports the
+/// original nest's bounds, not a candidate's.
 pub fn try_simulate_tracked(
     nest: &LoopNest,
     want_profile: bool,
     threads: usize,
     tracker: &crate::budget::BudgetTracker,
     max_table_bytes: Option<u64>,
+    salvage: bool,
 ) -> Result<SimResult, loopmem_ir::AnalysisError> {
-    crate::dense::try_run_tracked(nest, want_profile, threads, tracker, max_table_bytes)
+    crate::dense::try_run_tracked(
+        nest,
+        want_profile,
+        threads,
+        tracker,
+        max_table_bytes,
+        salvage,
+    )
 }
 
 /// Differential-sanitizer oracle: exact single-threaded simulation of
@@ -145,10 +111,9 @@ pub fn oracle_simulate(nest: &LoopNest, max_iters: u64) -> Option<SimResult> {
     if crate::budget::estimated_iterations_of(nest) > u128::from(max_iters) {
         return None;
     }
-    let budget = crate::budget::AnalysisBudget::unlimited()
-        .with_max_iterations(max_iters)
-        .with_max_table_bytes(64 << 20);
-    try_simulate_with_threads(nest, false, 1, &budget).ok()
+    let budget = crate::budget::AnalysisBudget::unlimited().with_max_iterations(max_iters);
+    let tracker = crate::budget::BudgetTracker::new(&budget);
+    try_simulate_tracked(nest, false, 1, &tracker, Some(64 << 20), true).ok()
 }
 
 /// Simulates with the legacy hashmap engine — the reference
@@ -240,6 +205,14 @@ mod tests {
     use super::*;
     use loopmem_ir::parse;
 
+    fn simulate(nest: &LoopNest) -> SimResult {
+        crate::dense::exact(nest, false, 1)
+    }
+
+    fn exact_profile(nest: &LoopNest) -> SimResult {
+        crate::dense::exact(nest, true, 1)
+    }
+
     #[test]
     fn single_use_elements_never_enter_window() {
         // Every element touched exactly once: window stays empty.
@@ -280,7 +253,7 @@ mod tests {
         // loop of its i, so the window is 1 while inside a row, 0 after
         // the last reuse. Profile length equals iteration count.
         let nest = parse("array A[10]\nfor i = 1 to 10 { for j = 1 to 5 { A[i]; } }").unwrap();
-        let s = simulate_with_profile(&nest);
+        let s = exact_profile(&nest);
         let p = s.profile.as_ref().unwrap();
         assert_eq!(p.len(), 50);
         assert_eq!(s.mws_total, 1);

@@ -1,4 +1,4 @@
-//! Budget semantics of the governed (`try_*`) simulation entry points.
+//! Budget semantics of the governed simulation entry points.
 //!
 //! The contracts under test:
 //!
@@ -6,15 +6,15 @@
 //!   is purely *analytical* — bit-identical across worker-thread counts
 //!   and valid (`lower ≤ exact ≤ upper`) against the true answer;
 //! * cancellation is observed within one polling chunk;
-//! * an unlimited budget reproduces the legacy panicking API exactly;
+//! * an unlimited budget reproduces the reference hashmap engine exactly;
 //! * overflow and panics inside a nest surface as typed errors, and in a
 //!   multi-nest program they poison only their own nest.
 
 use loopmem_ir::{parse, parse_program, AnalysisError, TripReason};
-use loopmem_sim::{
-    simulate, try_simulate, try_simulate_program, try_simulate_with_threads, AnalysisBudget,
-    CancelToken,
-};
+use loopmem_sim::{AnalysisBudget, CancelToken};
+
+mod common;
+use common::{exact, governed, governed_program};
 use std::time::Duration;
 
 fn huge_nest() -> loopmem_ir::LoopNest {
@@ -35,7 +35,7 @@ fn deadline_trip_payload_is_identical_across_thread_counts() {
     let budget = AnalysisBudget::unlimited().with_timeout(Duration::ZERO);
     let errors: Vec<AnalysisError> = [1usize, 2, 4]
         .iter()
-        .map(|&t| try_simulate_with_threads(&nest, false, t, &budget).unwrap_err())
+        .map(|&t| governed(&nest, false, t, &budget).unwrap_err())
         .collect();
     for e in &errors {
         let AnalysisError::Exhausted { reason, partial } = e else {
@@ -54,7 +54,7 @@ fn max_iterations_trip_payload_is_identical_across_thread_counts() {
     let budget = AnalysisBudget::unlimited().with_max_iterations(10_000);
     let errors: Vec<AnalysisError> = [1usize, 2, 4]
         .iter()
-        .map(|&t| try_simulate_with_threads(&nest, false, t, &budget).unwrap_err())
+        .map(|&t| governed(&nest, false, t, &budget).unwrap_err())
         .collect();
     assert!(matches!(
         &errors[0],
@@ -72,7 +72,7 @@ fn pre_cancelled_token_trips_before_sweeping() {
     let token = CancelToken::new();
     token.cancel();
     let budget = AnalysisBudget::unlimited().with_cancel_token(token);
-    let err = try_simulate(&huge_nest(), &budget).unwrap_err();
+    let err = governed(&huge_nest(), false, 1, &budget).unwrap_err();
     assert!(matches!(
         err,
         AnalysisError::Exhausted {
@@ -91,7 +91,7 @@ fn cancellation_is_observed_within_one_chunk() {
     let token = CancelToken::new();
     let budget = AnalysisBudget::unlimited().with_cancel_token(token.clone());
     let nest = huge_nest();
-    let worker = std::thread::spawn(move || try_simulate(&nest, &budget));
+    let worker = std::thread::spawn(move || governed(&nest, false, 1, &budget));
     std::thread::sleep(Duration::from_millis(50));
     token.cancel();
     let start = std::time::Instant::now();
@@ -121,9 +121,9 @@ fn exhausted_bounds_sandwich_the_exact_answer() {
     ];
     for src in sources {
         let nest = parse(src).unwrap();
-        let exact = simulate(&nest).mws_total;
+        let exact = exact(&nest, false, 1).mws_total;
         let budget = AnalysisBudget::unlimited().with_max_iterations(3);
-        let err = try_simulate(&nest, &budget).unwrap_err();
+        let err = governed(&nest, false, 1, &budget).unwrap_err();
         let AnalysisError::Exhausted { partial, .. } = err else {
             panic!("expected Exhausted on {src}");
         };
@@ -135,24 +135,24 @@ fn exhausted_bounds_sandwich_the_exact_answer() {
 }
 
 #[test]
-fn unlimited_budget_matches_legacy_simulate() {
+fn unlimited_budget_matches_reference_engine() {
     for src in [
         "array X[200]\nfor i = 1 to 25 { for j = 1 to 10 { X[2i + 5j + 1] = X[2i + 5j + 5]; } }",
         "array A[34][34]\nfor i = 1 to 32 { for j = i to 32 { A[i][j] = A[j][i]; } }",
     ] {
         let nest = parse(src).unwrap();
-        let legacy = simulate(&nest);
-        let governed = try_simulate(&nest, &AnalysisBudget::unlimited()).unwrap();
-        assert_eq!(governed.iterations, legacy.iterations);
-        assert_eq!(governed.mws_total, legacy.mws_total);
-        assert_eq!(governed.per_array, legacy.per_array);
+        let reference = loopmem_sim::simulate_hashmap(&nest);
+        let governed = governed(&nest, false, 1, &AnalysisBudget::unlimited()).unwrap();
+        assert_eq!(governed.iterations, reference.iterations);
+        assert_eq!(governed.mws_total, reference.mws_total);
+        assert_eq!(governed.per_array, reference.per_array);
     }
 }
 
 #[test]
 fn subscript_overflow_is_a_typed_error() {
     let nest = parse("array X[10]\nfor i = 1 to 5 { X[4000000000000000000i]; }").unwrap();
-    let err = try_simulate(&nest, &AnalysisBudget::unlimited()).unwrap_err();
+    let err = governed(&nest, false, 1, &AnalysisBudget::unlimited()).unwrap_err();
     assert!(
         matches!(err, AnalysisError::Overflow { .. }),
         "expected Overflow, got {err:?}"
@@ -171,7 +171,7 @@ fn panicking_nest_poisons_only_itself_in_a_program() {
          for i = 1 to 3 { B[i]; }",
     )
     .unwrap();
-    let gov = try_simulate_program(&program, &AnalysisBudget::unlimited()).unwrap();
+    let gov = governed_program(&program, 1, &AnalysisBudget::unlimited()).unwrap();
     assert_eq!(gov.per_nest.len(), 3);
     assert_eq!(gov.per_nest[0], Ok(3));
     assert_eq!(gov.per_nest[2], Ok(3));
@@ -200,7 +200,7 @@ fn near_max_loop_bounds_trip_instead_of_hanging() {
     )
     .unwrap();
     let budget = AnalysisBudget::unlimited().with_max_iterations(1_000);
-    let err = try_simulate(&nest, &budget).unwrap_err();
+    let err = governed(&nest, false, 1, &budget).unwrap_err();
     let AnalysisError::Exhausted { reason, partial } = err else {
         panic!("expected Exhausted");
     };

@@ -17,10 +17,10 @@
 use std::sync::Arc;
 
 use loopmem_ir::{parse, parse_program, AnalysisError, BoundsMethod, TripReason};
-use loopmem_sim::{
-    simulate, try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget,
-    FaultKind, FaultPlan, INJECTED_PANIC,
-};
+use loopmem_sim::{AnalysisBudget, FaultKind, FaultPlan, INJECTED_PANIC};
+
+mod common;
+use common::{exact, governed, governed_program};
 
 /// Exactly 2 × 1024 iterations: two outer rows of one poll quantum each.
 fn boundary_nest() -> loopmem_ir::LoopNest {
@@ -38,7 +38,7 @@ fn budget_with(plan: FaultPlan) -> AnalysisBudget {
 #[test]
 fn exhaust_on_exact_poll_boundary_salvages_the_full_prefix() {
     let nest = boundary_nest();
-    let exact = simulate(&nest).mws_total;
+    let exact = exact(&nest, false, 1).mws_total;
     // The nest charges exactly 2048 iterations; a threshold of 2 poll
     // quanta (2048) is reached by the final charge, so the run trips
     // *after* completing every iteration — the salvaged prefix is the
@@ -47,7 +47,7 @@ fn exhaust_on_exact_poll_boundary_salvages_the_full_prefix() {
         .iter()
         .map(|&t| {
             let budget = budget_with(FaultPlan::new(FaultKind::Exhaust, 2, 0));
-            try_simulate_with_threads(&nest, false, t, &budget).unwrap_err()
+            governed(&nest, false, t, &budget).unwrap_err()
         })
         .collect();
     let AnalysisError::Exhausted { reason, partial } = &errors[0] else {
@@ -67,12 +67,12 @@ fn exhaust_on_exact_poll_boundary_salvages_the_full_prefix() {
 #[test]
 fn fault_past_the_last_charge_never_fires() {
     let nest = boundary_nest();
-    let clean = simulate(&nest);
+    let clean = exact(&nest, false, 1);
     // Threshold 3 × 1024 exceeds the 2048 iterations ever charged: the
     // plan stays dormant and the run completes exactly.
     for t in [1usize, 2, 4] {
         let budget = budget_with(FaultPlan::new(FaultKind::Exhaust, 3, 0));
-        let sim = try_simulate_with_threads(&nest, false, t, &budget).unwrap();
+        let sim = governed(&nest, false, t, &budget).unwrap();
         assert_eq!(sim.mws_total, clean.mws_total);
         assert_eq!(sim.iterations, clean.iterations);
     }
@@ -95,7 +95,7 @@ fn injected_overflow_outranks_concurrent_budget_trips() {
             let budget = AnalysisBudget::unlimited()
                 .with_max_iterations(65_536)
                 .with_fault_plan(Arc::new(FaultPlan::new(FaultKind::Overflow, 2, 0)));
-            try_simulate_with_threads(&nest, false, t, &budget).unwrap_err()
+            governed(&nest, false, t, &budget).unwrap_err()
         })
         .collect();
     assert!(
@@ -114,10 +114,10 @@ fn rejected_tables_change_the_path_not_the_answers() {
          for i = 2 to 50 { for j = 1 to 50 { A[i][j] = A[i-1][j]; } }",
     )
     .unwrap();
-    let clean = simulate(&nest);
+    let clean = exact(&nest, false, 1);
     for t in [1usize, 2, 4] {
         let budget = budget_with(FaultPlan::new(FaultKind::RejectTables, 1, 0));
-        let sim = try_simulate_with_threads(&nest, false, t, &budget).unwrap();
+        let sim = governed(&nest, false, t, &budget).unwrap();
         assert_eq!(sim.mws_total, clean.mws_total);
         assert_eq!(sim.per_array, clean.per_array);
     }
@@ -134,7 +134,7 @@ fn injected_panic_surfaces_at_the_targeted_program_nest() {
     .unwrap();
     for t in [1usize, 2, 4] {
         let budget = budget_with(FaultPlan::new(FaultKind::PanicNest, 1, 1));
-        let gov = try_simulate_program_with_threads(&program, t, &budget).unwrap();
+        let gov = governed_program(&program, t, &budget).unwrap();
         assert_eq!(gov.per_nest[0], Ok(3));
         assert_eq!(gov.per_nest[2], Ok(3));
         match &gov.per_nest[1] {
@@ -162,7 +162,7 @@ fn oversized_nest_in_a_batch_degrades_alone() {
     .unwrap();
     let budget = AnalysisBudget::unlimited().with_max_table_bytes(1 << 20);
     for t in [1usize, 2, 4] {
-        let gov = try_simulate_program_with_threads(&program, t, &budget).unwrap();
+        let gov = governed_program(&program, t, &budget).unwrap();
         assert_eq!(gov.per_nest[0], Ok(3));
         assert_eq!(gov.per_nest[2], Ok(3));
         match &gov.per_nest[1] {

@@ -9,7 +9,10 @@
 
 use loopmem_ir::parse;
 use loopmem_linalg::rng::Lcg;
-use loopmem_sim::{bench_pass1_interleaved, simulate_hashmap_with_profile, simulate_with_threads};
+use loopmem_sim::{bench_pass1_interleaved, simulate_hashmap_with_profile};
+
+mod common;
+use common::exact;
 
 /// Asserts the dense lane-split engine matches the hashmap reference
 /// bit-for-bit (iterations, per-array stats, MWS, full profile) for
@@ -19,7 +22,7 @@ fn assert_engines_agree(src: &str) {
     let nest = parse(src).unwrap_or_else(|e| panic!("parse failed for:\n{src}\n{e:?}"));
     let reference = simulate_hashmap_with_profile(&nest);
     for threads in [1usize, 2, 4] {
-        let got = simulate_with_threads(&nest, true, threads);
+        let got = exact(&nest, true, threads);
         assert_eq!(
             got.iterations, reference.iterations,
             "iterations diverge at t={threads} for:\n{src}"

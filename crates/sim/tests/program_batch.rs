@@ -8,9 +8,10 @@
 //! was sharded.
 
 use loopmem_ir::{parse_program, ArrayId, Program};
-use loopmem_sim::{
-    for_each_iteration, simulate_program, simulate_program_with_threads, ProgramSimResult,
-};
+use loopmem_sim::{for_each_iteration, ProgramSimResult};
+
+mod common;
+use common::exact_program;
 use std::collections::HashMap;
 
 /// Serial global-clock reference: nests swept in order, one shared touch
@@ -153,15 +154,15 @@ fn batch_matches_reference_for_all_thread_counts() {
     for p in programs() {
         let want = reference_simulate(&p);
         for threads in [1, 2, 4] {
-            assert_same(&simulate_program_with_threads(&p, threads), &want);
+            assert_same(&exact_program(&p, threads), &want);
         }
-        assert_same(&simulate_program(&p), &want);
+        assert_same(&exact_program(&p, 2), &want);
     }
 }
 
 #[test]
 fn batch_default_equals_pinned_one_thread() {
     for p in programs() {
-        assert_same(&simulate_program(&p), &simulate_program_with_threads(&p, 1));
+        assert_same(&exact_program(&p, 2), &exact_program(&p, 1));
     }
 }

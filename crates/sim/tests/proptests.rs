@@ -4,7 +4,10 @@
 
 use loopmem_ir::parse;
 use loopmem_linalg::Lcg;
-use loopmem_sim::{min_perfect_capacity, misses, simulate, simulate_with_profile, Policy, Trace};
+use loopmem_sim::{min_perfect_capacity, misses, Policy, Trace};
+
+mod common;
+use common::exact;
 
 fn random_nest(rng: &mut Lcg) -> String {
     let n1 = rng.range_i64(3, 9);
@@ -80,7 +83,7 @@ fn perfect_capacity_bracketed_by_window() {
         // OPT's minimum perfect capacity is at most MWS + in-flight refs,
         // and at least 1.
         let nest = parse(&src).expect("parses");
-        let mws = simulate(&nest).mws_total as usize;
+        let mws = exact(&nest, false, 1).mws_total as usize;
         let refs = nest.refs().count();
         let t = Trace::from_nest(&nest);
         let perfect = min_perfect_capacity(&t, Policy::Opt);
@@ -98,7 +101,7 @@ fn profile_peak_equals_mws() {
     for _ in 0..48 {
         let src = random_nest(&mut rng);
         let nest = parse(&src).expect("parses");
-        let s = simulate_with_profile(&nest);
+        let s = exact(&nest, true, 1);
         let peak = s
             .profile
             .as_ref()
@@ -119,7 +122,7 @@ fn per_array_windows_bound_the_total() {
     for _ in 0..48 {
         let src = random_nest(&mut rng);
         let nest = parse(&src).expect("parses");
-        let s = simulate(&nest);
+        let s = exact(&nest, false, 1);
         let sum: u64 = s.per_array.values().map(|a| a.mws).sum();
         let max: u64 = s.per_array.values().map(|a| a.mws).max().unwrap_or(0);
         assert!(s.mws_total <= sum, "total exceeds sum of peaks ({src})");

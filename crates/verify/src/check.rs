@@ -26,7 +26,7 @@ use crate::cert::{
     BoundsCert, Certificate, ConePruneCert, FusionCert, LegalityCert, OptimalityCert, SizingCert,
 };
 use crate::replay;
-use loopmem_dep::{analyze, constraining_distances, lex_positive, row_tileable};
+use loopmem_dep::{analyze, constraining_distances, is_legal, lex_positive, row_tileable};
 use loopmem_ir::{LoopNest, Program};
 use loopmem_linalg::gcd::{div_ceil, div_floor};
 use loopmem_linalg::{gcd_i64, IMat};
@@ -152,6 +152,19 @@ fn check_legality(program: &Program, c: &LegalityCert) -> Vec<Violation> {
             .note(format!("recorded : {recorded:?}")),
         );
         return out;
+    }
+    // A truncated dependence set may be missing distances, so the
+    // evaluations below cannot prove anything but the identity legal and
+    // nothing tileable (the rule `loopmem_dep::is_legal` applies).
+    if deps.is_truncated() && (c.tileable || !is_legal(&t, &deps)) {
+        out.push(
+            Violation::new(
+                "LM7001",
+                Some(c.nest),
+                "dependence analysis hit its work cap: only the identity is provably legal",
+            )
+            .note(format!("tileable claim: {}", c.tileable)),
+        );
     }
 
     // Recompute every T·δ and check the recorded image and the claim.

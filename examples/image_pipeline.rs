@@ -6,11 +6,12 @@
 //!
 //! Run with `cargo run --release --example image_pipeline`.
 
-use loopmem::core::optimize::SearchMode;
-use loopmem::core::{analyze_program, optimize_program};
+use loopmem::core::analyze_program;
 use loopmem::ir::parse_program;
+use loopmem::Session;
 
 fn main() {
+    let session = Session::new();
     let program = parse_program(
         "array IN[34][34]\narray BLUR[32][32]\narray SMALL[16][16]\narray HIST[16]\n\
          # phase 1: 3x3 blur\n\
@@ -38,7 +39,7 @@ fn main() {
     )
     .expect("pipeline parses");
 
-    let a = analyze_program(&program);
+    let a = analyze_program(&session, &program).expect("pipeline simulates");
     println!("== image pipeline: blur -> downsample -> accumulate ==");
     println!("declared arrays     : {} words", a.default_words);
     println!(
@@ -54,10 +55,15 @@ fn main() {
         println!("live across boundary {}->{}: {} words", k + 1, k + 2, live);
     }
 
-    let opt = optimize_program(&program, SearchMode::default()).expect("optimization succeeds");
+    let opt = session
+        .optimize_program(&program)
+        .expect("optimization succeeds");
     println!("\nper-nest windows (before -> after the §4 search):");
-    for (k, (b, aa)) in opt.per_nest.iter().enumerate() {
-        println!("  phase {}: {} -> {}", k + 1, b, aa);
+    for (k, r) in opt.per_nest.iter().enumerate() {
+        match r {
+            Ok((b, aa)) => println!("  phase {}: {} -> {}", k + 1, b, aa),
+            Err(e) => println!("  phase {}: kept original ({e})", k + 1),
+        }
     }
     println!("whole-program MWS: {} -> {}", opt.mws_before, opt.mws_after);
     println!(
@@ -68,7 +74,7 @@ fn main() {
 
     // Phases 2 and 3 are conformable (both 16x16): fuse them.
     let fused = loopmem::core::fuse(&program, 1).expect("phases 2+3 fuse legally");
-    let fa = analyze_program(&fused);
+    let fa = analyze_program(&session, &fused).expect("pipeline simulates");
     println!("\n== after fusing downsample + accumulate ==");
     println!("whole-program MWS   : {} words", fa.mws_exact);
     for (k, live) in fa.boundary_live.iter().enumerate() {

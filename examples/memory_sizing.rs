@@ -3,11 +3,12 @@
 //!
 //! Run with `cargo run --example memory_sizing`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
-use loopmem::sim::{simulate_with_profile, ScratchpadModel};
+use loopmem::sim::ScratchpadModel;
+use loopmem::Session;
 use loopmem_bench::all_kernels;
 
 fn main() {
+    let session = Session::new();
     let model = ScratchpadModel::new();
     println!(
         "{:<12} {:>8} {:>8} {:>12} {:>12} {:>9}",
@@ -15,7 +16,7 @@ fn main() {
     );
     for k in all_kernels() {
         let nest = k.nest();
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+        let opt = session.optimize(&nest).expect("search succeeds");
         let default = nest.default_memory() as u64;
         let sized = opt.mws_after.max(1);
         let (big, small) = (model.report(default), model.report(sized));
@@ -32,7 +33,11 @@ fn main() {
 
     // Show one window profile: how the live set evolves over execution.
     let k = loopmem_bench::kernel_by_name("rasta_flt").expect("kernel exists");
-    let s = simulate_with_profile(&k.nest());
+    let s = session
+        .clone()
+        .profile(true)
+        .simulate(&k.nest())
+        .expect("kernel simulates");
     let profile = s.profile.expect("profile requested");
     println!("\nrasta_flt window profile (live words after each iteration, downsampled):");
     let step = (profile.len() / 20).max(1);

@@ -8,12 +8,13 @@
 //!
 //! Run with `cargo run --example motion_estimation`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::core::{analyze_memory, estimate_distinct};
 use loopmem::ir::parse;
 use loopmem::sim::ScratchpadModel;
+use loopmem::Session;
 
 fn main() {
+    let session = Session::new();
     // An 8x8 current block matched against every candidate of a +/-16
     // search area inside a 40x40 reference window.
     let nest = parse(
@@ -30,7 +31,7 @@ fn main() {
     )
     .expect("kernel parses");
 
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&session, &nest).expect("kernel simulates");
     println!("== full-search motion estimation ==");
     println!("declared arrays : {} words (R + C + S)", m.default_words);
     println!("distinct touched: {} words", m.distinct_exact_total);
@@ -47,7 +48,7 @@ fn main() {
         );
     }
 
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = session.optimize(&nest).expect("search succeeds");
     println!(
         "\noptimizer: MWS {} -> {} over {} candidates",
         opt.mws_before, opt.mws_after, opt.candidates_considered

@@ -2,24 +2,24 @@
 //!
 //! Run with `cargo run --release --example paper_tour`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::core::{
-    branch_and_bound, estimate_distinct, three_level_estimate, two_level_estimate,
+    estimate_distinct, three_level_estimate, try_branch_and_bound, two_level_estimate, SearchMode,
 };
 use loopmem::dep::{analyze, reuse_vectors};
 use loopmem::ir::{parse, ArrayId};
 use loopmem::poly::count::distinct_accesses_for;
-use loopmem::sim::simulate;
+use loopmem::Session;
 
 fn heading(s: &str) {
     println!("\n=== {s} ===");
 }
 
 fn main() {
+    let session = Session::new();
     heading("§2.2, Examples 1(a)/1(b): reuse induced by dependence (3,2)");
     let e1b = parse("array A[51]\nfor i = 1 to 10 { for j = 1 to 10 { A[2i + 3j]; } }")
         .expect("kernel parses");
-    let s = simulate(&e1b);
+    let s = session.simulate(&e1b).expect("kernel simulates");
     println!(
         "A[2i+3j] over 10x10: {} accesses, {} distinct -> reuse {} (paper: 56)",
         s.iterations,
@@ -91,8 +91,12 @@ fn main() {
         two_level_estimate((2, -3), (1, 0), (20, 30)),
         two_level_estimate((2, -3), (0, 1), (20, 30)),
     );
-    let best = minimize_mws(&e7, SearchMode::default()).expect("search succeeds");
-    let baseline = minimize_mws(&e7, SearchMode::InterchangeReversal).expect("search succeeds");
+    let best = session.optimize(&e7).expect("search succeeds");
+    let baseline = session
+        .clone()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&e7)
+        .expect("search succeeds");
     println!(
         "exact MWS: original {}, best elementary {}, compound {} (paper: ... -> 1)",
         best.mws_before, baseline.mws_after, best.mws_after
@@ -108,17 +112,23 @@ fn main() {
         "distances: {:?} (paper: (3,-2), (2,0), (5,-2))",
         deps.distances(true)
     );
-    let bnb = branch_and_bound((2, 5), &deps, (25, 10), 6).expect("feasible");
+    let bnb = try_branch_and_bound((2, 5), &deps, (25, 10), 6, session.analysis_budget())
+        .expect("an unlimited budget never trips")
+        .expect("feasible");
     println!(
         "branch & bound: row {:?}, objective {} (paper: (2,3) with 22), {} nodes / {} pruned",
         bnb.row, bnb.objective, bnb.nodes_explored, bnb.nodes_pruned
     );
-    let opt = minimize_mws(&e8, SearchMode::default()).expect("search succeeds");
+    let opt = session.optimize(&e8).expect("search succeeds");
     println!(
         "compound search: MWS {} -> {} (paper: actual 21)",
         opt.mws_before, opt.mws_after
     );
-    match minimize_mws(&e8, SearchMode::LiPingali) {
+    match session
+        .clone()
+        .search_mode(SearchMode::LiPingali)
+        .optimize(&e8)
+    {
         Err(e) => println!("Li-Pingali: {e} (paper: no legal completion)"),
         Ok(o) => println!("Li-Pingali unexpectedly reached {}", o.mws_after),
     }
@@ -129,9 +139,9 @@ fn main() {
         "reuse vector {:?}: MWS formula {} (paper: 540), exact {}",
         rv,
         three_level_estimate((rv[0], rv[1], rv[2]), (10, 20, 30)),
-        simulate(&e5).mws_total
+        session.simulate(&e5).expect("kernel simulates").mws_total
     );
-    let opt10 = minimize_mws(&e5, SearchMode::default()).expect("search succeeds");
+    let opt10 = session.optimize(&e5).expect("search succeeds");
     println!(
         "after access-matrix transformation: MWS {} (paper: 1)",
         opt10.mws_after

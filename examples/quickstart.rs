@@ -3,12 +3,12 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::core::{analyze_memory, apply_transform};
 use loopmem::ir::{parse, print_nest};
-use loopmem::sim::simulate;
+use loopmem::Session;
 
 fn main() {
+    let session = Session::new();
     // Example 8 of the paper: a 1-D signal accessed along a skewed
     // direction, so consecutive iterations touch far-apart elements.
     let nest = parse(
@@ -24,7 +24,7 @@ fn main() {
     println!("== input nest ==\n{}", print_nest(&nest));
 
     // 1. Estimate: how much memory does this loop actually need?
-    let analysis = analyze_memory(&nest);
+    let analysis = analyze_memory(&session, &nest).expect("kernel simulates");
     println!("declared storage      : {} words", analysis.default_words);
     println!("distinct elements     : {}", analysis.distinct_exact_total);
     println!(
@@ -33,7 +33,7 @@ fn main() {
     );
 
     // 2. Optimize: find a legal unimodular transformation minimizing MWS.
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = session.optimize(&nest).expect("search succeeds");
     println!(
         "\n== after compound transformation (searched {} candidates) ==",
         opt.candidates_considered
@@ -44,7 +44,10 @@ fn main() {
 
     // 3. Verify: the transformed nest performs the same accesses.
     let reapplied = apply_transform(&nest, &opt.transform).expect("transformation applies");
-    let (a, b) = (simulate(&nest), simulate(&reapplied));
+    let (a, b) = (
+        session.simulate(&nest).expect("kernel simulates"),
+        session.simulate(&reapplied).expect("kernel simulates"),
+    );
     assert_eq!(a.distinct_total(), b.distinct_total());
     assert_eq!(b.mws_total, opt.mws_after);
     println!(

@@ -7,14 +7,14 @@
 //!
 //! Run with `cargo run --example stencil_optimizer`.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
-use loopmem::core::two_level_estimate;
+use loopmem::core::{two_level_estimate, SearchMode};
 use loopmem::dep::analyze;
 use loopmem::dep::legality::row_tileable;
 use loopmem::ir::{parse, print_nest};
-use loopmem::sim::simulate;
+use loopmem::Session;
 
 fn main() {
+    let session = Session::new();
     // The 2-point vertical stencil of Figure 2: the outer loop carries
     // the dependence, keeping an entire image row live.
     let nest = parse(
@@ -50,13 +50,17 @@ fn main() {
     }
 
     // 3. Full searches.
-    let compound = minimize_mws(&nest, SearchMode::default()).expect("compound search");
-    let baseline = minimize_mws(&nest, SearchMode::InterchangeReversal).expect("baseline search");
+    let compound = session.optimize(&nest).expect("compound search");
+    let baseline = session
+        .clone()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&nest)
+        .expect("baseline search");
     println!("\n== results ==");
     println!(
         "original MWS: {}  (simulator: {})",
         compound.mws_before,
-        simulate(&nest).mws_total
+        session.simulate(&nest).expect("kernel simulates").mws_total
     );
     println!(
         "interchange+reversal: MWS {} with T =\n{}",

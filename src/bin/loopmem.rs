@@ -55,12 +55,14 @@
 //! bit-identical results for every thread count. Exit 1 on any oracle
 //! violation.
 //!
-//! `simulate`, `optimize`, and `pipeline` accept resource budgets:
-//! `--timeout-ms N` caps wall-clock time, `--max-iters N` caps swept
-//! iterations. With a budget the run is *governed* — it never crashes, and
-//! when a budget trips the analysis degrades to guaranteed analytical
-//! bounds (`outcome : bounded`) instead of an exact answer; the process
-//! still exits 0 because a degraded answer is a result, not an error.
+//! Every run is *governed*: each subcommand drives one
+//! `loopmem::Session` whose budget caps swept iterations at
+//! `loopmem::core::DEFAULT_MAX_ITERATIONS` (2 000 000) unless
+//! `--max-iters N` or `--timeout-ms N` replaces that budget. A governed run
+//! never crashes; when the budget trips the analysis degrades to
+//! guaranteed analytical bounds (`outcome : bounded`) instead of an exact
+//! answer, and the process still exits 0 because a degraded answer is a
+//! result, not an error.
 //!
 //! `trace` runs the whole governed surface (program simulation,
 //! scratchpad sizing + fusion, per-nest §4 searches, cone prunes,
@@ -70,41 +72,33 @@
 //! `--out trace.ndjson` writes the NDJSON to a file either way. The
 //! NDJSON bytes are bit-identical for every `--threads` value.
 //! `pipeline`, `scratchpad`, `chaos`, and `verify` accept `--trace
-//! out.ndjson` to capture the same stream for their own runs (on
-//! `pipeline`/`scratchpad` this selects the governed path, with an
-//! unlimited budget unless budget flags say otherwise; on `chaos` it
-//! captures the fault-free traced baseline of each file).
+//! out.ndjson` to capture the same stream for their own runs (on `chaos`
+//! it captures the fault-free traced baseline of each file).
 
 use loopmem::analyze::{check_source, CheckOptions, Diagnostic, Severity};
-use loopmem::core::optimize::{minimize_mws, SearchMode};
-use loopmem::core::{analyze_memory, apply_transform, estimate_distinct};
+use loopmem::core::{
+    analyze_memory, apply_transform, estimate_distinct, SearchMode, DEFAULT_MAX_ITERATIONS,
+};
 use loopmem::dep::analyze;
-use loopmem::ir::{parse, print_nest, AnalysisError, LoopNest};
+use loopmem::ir::{parse, print_nest, AnalysisError, LoopNest, Program};
 use loopmem::linalg::IMat;
 use loopmem::obs::{CollectingSink, TraceSink};
-use loopmem::sim::{simulate, simulate_with_profile, AnalysisBudget, ScratchpadModel};
+use loopmem::sim::{AnalysisBudget, ScratchpadModel};
 use loopmem::Session;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Set once budget flags are parsed: governed runs contain panics with
-/// `catch_unwind` and report them as per-nest outcomes, so the panic hook
-/// must not splatter the already-reported message on stderr.
-static GOVERNED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
 fn main() -> ExitCode {
-    // Dying on a closed pipe (`loopmem ... | head`) is expected CLI
-    // behaviour, not a crash: exit quietly instead of panicking.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
+    // Every run is governed: the engines contain panics with
+    // `catch_unwind` and report them as typed per-nest outcomes, so the
+    // hook stays quiet instead of splattering an already-reported message
+    // on stderr. Dying on a closed pipe (`loopmem ... | head`) is expected
+    // CLI behaviour, not a crash: exit quietly.
+    std::panic::set_hook(Box::new(|info| {
         let msg = info.payload().downcast_ref::<String>().cloned();
         if msg.as_deref().is_some_and(|m| m.contains("Broken pipe")) {
             std::process::exit(0);
         }
-        if GOVERNED.load(std::sync::atomic::Ordering::Relaxed) {
-            return;
-        }
-        default_hook(info);
     }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -132,7 +126,9 @@ const USAGE: &str = "usage:
   loopmem trace    <file.loop> [--threads N] [--format text|json] [--out trace.ndjson] [budget]
   loopmem print    <file.loop> [--transform a,b,c,d]
 
-budget flags (governed run; degrades to analytical bounds, never crashes):
+every run is governed: it degrades to analytical bounds, never crashes.
+The default budget caps swept loop iterations at 2000000; budget flags
+replace it:
   --timeout-ms N   wall-clock deadline in milliseconds
   --max-iters N    cap on total swept loop iterations";
 
@@ -168,13 +164,19 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return cmd_trace(rest);
     }
     let r = match cmd.as_str() {
-        "analyze" => cmd_analyze(&load(rest)?),
+        "analyze" => cmd_analyze(&load(rest)?, &CommonOpts::parse(rest)?.session()),
         "deps" => cmd_deps(&load(rest)?),
-        "optimize" => cmd_optimize(&load(rest)?, parse_mode(rest)?, parse_budget(rest)?),
+        "optimize" => cmd_optimize(
+            &load(rest)?,
+            &CommonOpts::parse(rest)?
+                .session()
+                .search_mode(parse_mode(rest)?),
+        ),
         "simulate" => cmd_simulate(
             &load(rest)?,
-            rest.iter().any(|a| a == "--profile"),
-            parse_budget(rest)?,
+            &CommonOpts::parse(rest)?
+                .session()
+                .profile(rest.iter().any(|a| a == "--profile")),
         ),
         "formulas" => cmd_formulas(&load(rest)?),
         "pipeline" => cmd_pipeline(rest),
@@ -221,10 +223,10 @@ fn positionals_with<'a>(rest: &'a [String], value_flags: &[&str]) -> Vec<&'a Str
 struct CommonOpts {
     /// `--threads N`, defaulting to available parallelism.
     threads: usize,
-    /// `--timeout-ms` / `--max-iters` combined; `None` when neither was
-    /// given (the run is ungoverned unless something else demands a
-    /// budget, e.g. `--trace`).
-    budget: Option<AnalysisBudget>,
+    /// `--timeout-ms` / `--max-iters` combined; when neither was given,
+    /// the default [`DEFAULT_MAX_ITERATIONS`] cap (an iteration cap, not a
+    /// timeout, so whether a run answers exactly is machine-independent).
+    budget: AnalysisBudget,
     /// `--trace out.ndjson`: capture the run's deterministic trace.
     trace: Option<String>,
     /// `--emit-cert out.ndjson`: write the certificate stream.
@@ -275,13 +277,12 @@ impl CommonOpts {
                 other => return Err(format!("bad --format {other:?} (expected text or json)")),
             },
         };
-        if any || trace.is_some() {
-            // Governed and traced runs both contain panics in-band.
-            GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
+        if !any {
+            budget = budget.with_max_iterations(DEFAULT_MAX_ITERATIONS);
         }
         Ok(CommonOpts {
             threads,
-            budget: any.then_some(budget),
+            budget,
             trace,
             emit_cert,
             json,
@@ -297,6 +298,13 @@ impl CommonOpts {
                 .map(Some)
                 .ok_or_else(|| format!("{flag} needs an output path")),
         }
+    }
+
+    /// The run's session: the parsed thread count and budget.
+    fn session(&self) -> Session {
+        Session::new()
+            .threads(self.threads)
+            .budget(self.budget.clone())
     }
 
     /// The collecting sink backing `--trace`, when requested.
@@ -323,10 +331,6 @@ fn load(rest: &[String]) -> Result<LoopNest, String> {
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse(&src).map_err(|e| format!("{path}: {e}"))
-}
-
-fn parse_budget(rest: &[String]) -> Result<Option<AnalysisBudget>, String> {
-    Ok(CommonOpts::parse(rest)?.budget)
 }
 
 /// Report a governed run that could not finish exactly. A tripped budget or
@@ -456,7 +460,6 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
 /// file failed to load. Injected panics are contained by the engines, so
 /// the panic hook is quieted like any governed run.
 fn cmd_chaos(rest: &[String]) -> Result<ExitCode, String> {
-    GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
     let opts = CommonOpts::parse(rest)?;
     let seed: u64 = match rest.iter().position(|a| a == "--seed") {
         None => 0xC0FFEE,
@@ -482,10 +485,11 @@ fn cmd_chaos(rest: &[String]) -> Result<ExitCode, String> {
             let dyn_sink: Arc<dyn TraceSink> = sink.clone();
             dyn_sink.begin_epoch();
             if let Ok(program) = loopmem::ir::parse_program(&src) {
-                let budget = AnalysisBudget::unlimited()
-                    .with_max_iterations(2_000_000)
-                    .with_trace(dyn_sink.clone());
-                let _ = loopmem::sim::try_simulate_program_with_threads(&program, 1, &budget);
+                let _ = Session::new()
+                    .threads(1)
+                    .budget(AnalysisBudget::unlimited().with_max_iterations(DEFAULT_MAX_ITERATIONS))
+                    .trace(dyn_sink.clone())
+                    .simulate_program(&program);
             }
         }
         let report = loopmem::core::chaos_source(path, &src, seed).map_err(|e| e.to_string())?;
@@ -521,23 +525,15 @@ fn cmd_chaos(rest: &[String]) -> Result<ExitCode, String> {
 /// degraded answer still yields a checkable bounds certificate, so the
 /// robustness corpus verifies rather than timing out.
 fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
-    // Generation replays governed searches; contained failures are
-    // reported as degraded certificates, not stack traces.
-    GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
     let opts = CommonOpts::parse(rest)?;
     let json = opts.json;
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let (program, spans) =
         loopmem::ir::parse_program_spanned(&src).map_err(|e| format!("{path}: {e}"))?;
-    // Governed by default: a nest too large to simulate within the budget
-    // degrades to a bounds certificate instead of hanging the gate. The
-    // default is an iteration cap, not a timeout, so whether a run
-    // verifies exactly or via bounds is machine-independent.
-    let mut budget = opts
-        .budget
-        .clone()
-        .unwrap_or_else(|| AnalysisBudget::unlimited().with_max_iterations(2_000_000));
+    // A nest too large to simulate within the budget degrades to a
+    // bounds certificate instead of hanging the gate.
+    let mut budget = opts.budget.clone();
     let trace_sink = opts.trace_sink();
     if let Some(sink) = &trace_sink {
         budget = budget.with_trace(sink.clone() as Arc<dyn TraceSink>);
@@ -570,7 +566,10 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
                 }
             }
         }
-        None => generate_certificates(&program, opts.threads, &budget),
+        None => generate_certificates(
+            &program,
+            &Session::new().threads(opts.threads).budget(budget),
+        ),
     };
     emit_certs(opts.emit_cert.as_deref(), &certs)?;
     if let Some(sink) = &trace_sink {
@@ -620,9 +619,8 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
 
 /// `loopmem trace`: run the whole governed analysis surface over the
 /// program — simulation, scratchpad sizing + fusion, per-nest §4
-/// searches (with a serial memoized replay for memo events), cone-prune
-/// scans, certificate emission — with a collecting `loopmem-obs` sink
-/// attached, and render the deterministic trace. `--format text`
+/// searches, cone-prune scans, certificate emission — with a collecting
+/// `loopmem-obs` sink attached, and render the deterministic trace. `--format text`
 /// (default) prints per-phase totals; `--format json` prints the
 /// canonical NDJSON stream, whose bytes are identical for every
 /// `--threads` value; `--out` writes the NDJSON to a file either way.
@@ -631,7 +629,6 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     /// Coefficient box half-width for the cone-prune stage (matches
     /// `verify`).
     const BNB_BOUND: i64 = 6;
-    GOVERNED.store(true, std::sync::atomic::Ordering::Relaxed);
     let opts = CommonOpts::parse(rest)?;
     let out_path = CommonOpts::path_flag(rest, "--out")?;
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
@@ -639,13 +636,9 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     let program = loopmem::ir::parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
     let sink = Arc::new(CollectingSink::new());
     let dyn_sink: Arc<dyn TraceSink> = sink.clone();
-    // Governed by default (like `verify`): a robustness-corpus nest trips
-    // the iteration cap and degrades instead of hanging the trace.
-    let budget = opts
-        .budget
-        .clone()
-        .unwrap_or_else(|| AnalysisBudget::unlimited().with_max_iterations(2_000_000))
-        .with_trace(dyn_sink.clone());
+    // A robustness-corpus nest trips the iteration cap and degrades
+    // instead of hanging the trace.
+    let budget = opts.budget.clone().with_trace(dyn_sink.clone());
     let session = Session::new()
         .threads(opts.threads)
         .budget(budget.clone())
@@ -657,18 +650,11 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     dyn_sink.begin_epoch();
     let _ = catch_unwind(AssertUnwindSafe(|| session.scratchpad(&program)));
 
-    // Stage 2: per-nest §4 searches, one epoch each. The governed search
-    // contributes the search span and its certificates; when it completes
-    // within budget, the serial memoized search replays for memo hit/miss
-    // events (nests that trip the budget skip the replay).
+    // Stage 2: per-nest §4 searches, one epoch each: the search span and
+    // its certificates.
     for nest in program.nests() {
         dyn_sink.begin_epoch();
-        let searched = catch_unwind(AssertUnwindSafe(|| session.optimize(nest)));
-        if matches!(searched, Ok(Ok(_))) {
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                loopmem::core::minimize_mws_traced(nest, SearchMode::default(), &dyn_sink)
-            }));
-        }
+        let _ = catch_unwind(AssertUnwindSafe(|| session.optimize(nest)));
     }
 
     // Stage 3: cone-prune scans for 2-deep nests (the same scan `verify`
@@ -734,9 +720,8 @@ fn leading_alpha(nest: &LoopNest) -> (i64, i64) {
 /// evidence for 2-deep nests, and sizing/fusion certificates for the
 /// shared scratchpad.
 fn generate_certificates(
-    program: &loopmem::ir::Program,
-    threads: usize,
-    budget: &AnalysisBudget,
+    program: &Program,
+    session: &Session,
 ) -> Vec<loopmem::verify::Certificate> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     /// Coefficient box half-width certified by the cone-prune run.
@@ -748,7 +733,7 @@ fn generate_certificates(
         // degrade to a bounds certificate rather than crash.
         let nest_certs = catch_unwind(AssertUnwindSafe(|| {
             let mut out = Vec::new();
-            match loopmem::core::try_minimize_mws(nest, SearchMode::default(), budget) {
+            match session.optimize(nest) {
                 Ok(opt) => out.extend(loopmem::core::certify_optimization(k, nest, &opt)),
                 Err(e) => out.push(loopmem::core::certify_degraded(k, nest, &e)),
             }
@@ -761,7 +746,7 @@ fn generate_certificates(
                     Some(k),
                     "nest-mws",
                     &b,
-                    "analysis panicked; analytic enclosure",
+                    "analysis aborted by a contained panic; analytic enclosure",
                 )]
             }))
         })
@@ -776,7 +761,7 @@ fn generate_certificates(
                     upper: u64::MAX,
                     method: loopmem::ir::BoundsMethod::UnionBox,
                 },
-                "analysis panicked; vacuous enclosure",
+                "analysis aborted by a contained panic; vacuous enclosure",
             )]
         });
         certs.extend(nest_certs);
@@ -798,7 +783,7 @@ fn generate_certificates(
                 &deps,
                 extents,
                 BNB_BOUND,
-                budget,
+                session.analysis_budget(),
             )
             .ok()??;
             loopmem::core::certify_bnb(k, BNB_BOUND, &r)
@@ -807,7 +792,7 @@ fn generate_certificates(
         certs.extend(cone);
     }
     let scratchpad = catch_unwind(AssertUnwindSafe(|| {
-        match loopmem::core::try_scratchpad_with_fusion(program, threads, budget) {
+        match session.scratchpad(program) {
             Ok((gov, plan)) => {
                 let mut out = loopmem::core::certify_governed_scratchpad(&gov);
                 if let Some(p) = plan {
@@ -841,8 +826,12 @@ fn emit_certs(path: Option<&str>, certs: &[loopmem::verify::Certificate]) -> Res
     Ok(())
 }
 
-fn cmd_analyze(nest: &LoopNest) -> Result<(), String> {
-    let m = analyze_memory(nest);
+fn cmd_analyze(nest: &LoopNest, session: &Session) -> Result<(), String> {
+    let m = match analyze_memory(session, nest) {
+        Ok(m) => m,
+        Err(e) => return report_governed_failure(&e),
+    };
+    println!("outcome          : exact");
     println!("declared storage : {} words", m.default_words);
     println!("distinct touched : {} words", m.distinct_exact_total);
     println!("exact MWS        : {} words", m.mws_exact);
@@ -925,21 +914,15 @@ fn cmd_deps(nest: &LoopNest) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_optimize(
-    nest: &LoopNest,
-    mode: SearchMode,
-    budget: Option<AnalysisBudget>,
-) -> Result<(), String> {
-    let opt = match budget {
-        None => minimize_mws(nest, mode).map_err(|e| e.to_string())?,
-        Some(b) => match loopmem::core::try_minimize_mws(nest, mode, &b) {
-            Ok(opt) => {
-                println!("outcome    : exact");
-                opt
-            }
-            Err(e) => return report_governed_failure(&e),
-        },
+fn cmd_optimize(nest: &LoopNest, session: &Session) -> Result<(), String> {
+    let opt = match session.optimize(nest) {
+        Ok(opt) => opt,
+        // An empty search space (Li–Pingali on Example 8) is the mode's
+        // answer to a bad request, not a degraded analysis: exit 1.
+        Err(AnalysisError::Invalid { message }) => return Err(message),
+        Err(e) => return report_governed_failure(&e),
     };
+    println!("outcome    : exact");
     println!(
         "MWS {} -> {}  ({} candidates considered)",
         opt.mws_before, opt.mws_after, opt.candidates_considered
@@ -949,35 +932,12 @@ fn cmd_optimize(
     Ok(())
 }
 
-fn cmd_simulate(
-    nest: &LoopNest,
-    profile: bool,
-    budget: Option<AnalysisBudget>,
-) -> Result<(), String> {
-    let s = match budget {
-        None => {
-            if profile {
-                simulate_with_profile(nest)
-            } else {
-                simulate(nest)
-            }
-        }
-        Some(b) => {
-            let r = loopmem::sim::try_simulate_with_threads(
-                nest,
-                profile,
-                loopmem::sim::thread_count(),
-                &b,
-            );
-            match r {
-                Ok(s) => {
-                    println!("outcome    : exact");
-                    s
-                }
-                Err(e) => return report_governed_failure(&e),
-            }
-        }
+fn cmd_simulate(nest: &LoopNest, session: &Session) -> Result<(), String> {
+    let s = match session.simulate(nest) {
+        Ok(s) => s,
+        Err(e) => return report_governed_failure(&e),
     };
+    println!("outcome    : exact");
     println!("iterations : {}", s.iterations);
     println!("total MWS  : {}", s.mws_total);
     println!(
@@ -1046,12 +1006,14 @@ fn cmd_formulas(nest: &LoopNest) -> Result<(), String> {
     Ok(())
 }
 
+/// `loopmem pipeline`: whole-program analysis. Every nest reports an
+/// outcome (exact / bounded / failed) and the whole run shares one budget.
+/// Always exits 0 — a degraded answer is still an answer.
 fn cmd_pipeline(rest: &[String]) -> Result<(), String> {
     let opts = CommonOpts::parse(rest)?;
     let path = positional(rest).ok_or("missing <file.loop> argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut program = loopmem::ir::parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-    let threads = opts.threads;
     if let Some(pos) = rest.iter().position(|a| a == "--fuse") {
         let k: usize = rest
             .get(pos + 1)
@@ -1062,131 +1024,50 @@ fn cmd_pipeline(rest: &[String]) -> Result<(), String> {
         println!("fused nests {k} and {}:", k + 1);
         println!("{}", loopmem::ir::print_program(&program));
     }
-    // `--trace` needs a budget to carry the sink, so it selects the
-    // governed path even without budget flags.
-    if opts.budget.is_some() || opts.trace.is_some() {
-        let mut budget = opts
-            .budget
-            .clone()
-            .unwrap_or_else(AnalysisBudget::unlimited);
-        let trace_sink = opts.trace_sink();
-        if let Some(sink) = &trace_sink {
-            budget = budget.with_trace(sink.clone() as Arc<dyn TraceSink>);
-        }
-        cmd_pipeline_governed(&program, threads, &budget, rest)?;
-        if let Some(sink) = &trace_sink {
-            opts.write_trace(sink)?;
-        }
-        return Ok(());
+    let trace_sink = opts.trace_sink();
+    let mut session = opts.session();
+    if let Some(sink) = &trace_sink {
+        session = session.trace(sink.clone() as Arc<dyn TraceSink>);
     }
-    // Batch analysis: pass 1 shards across nests on `threads` workers;
-    // results are bit-identical for every worker count.
-    let sim = loopmem::sim::simulate_program_with_threads(&program, threads);
     println!(
         "nests             : {} ({} worker threads)",
         program.len(),
-        threads
+        opts.threads
     );
     println!("declared storage  : {} words", program.default_memory());
-    println!(
-        "distinct touched  : {} words",
-        sim.distinct.values().sum::<u64>()
-    );
-    println!(
-        "whole-program MWS : {} words (peak inside nest {})",
-        sim.mws_total, sim.peak_nest
-    );
-    for (k, live) in sim.boundary_live.iter().enumerate() {
-        println!("boundary {}->{}      : {} words live", k, k + 1, live);
-    }
-    println!("\n{:<7} {:>12} {:>10}", "nest", "iterations", "MWS");
-    let mut certs = Vec::new();
-    for (k, nest) in program.nests().iter().enumerate() {
-        // Memoized: a kernel repeated across the pipeline (even under
-        // renamed loop variables) is simulated once.
-        let mws = loopmem::core::nest_mws_memoized(nest);
-        certs.push(loopmem::core::certify_bounds(
-            Some(k),
-            "nest-mws",
-            &loopmem::ir::Bounds::exact(mws),
-            "exact simulation (pipeline pass 1)",
-        ));
-        println!(
-            "{:<7} {:>12} {:>10}",
-            format!("nest{k}"),
-            sim.per_nest_iterations[k],
-            mws
-        );
-    }
-    emit_certs(opts.emit_cert.as_deref(), &certs)?;
-    // Point out fusable adjacent pairs.
-    for k in 0..program.len().saturating_sub(1) {
-        match loopmem::core::fuse(&program, k) {
-            Ok(_) => println!("nests {k}+{}: fusable (try --fuse {k})", k + 1),
-            Err(e) => println!("nests {k}+{}: not fusable ({e})", k + 1),
-        }
-    }
-    if rest.iter().any(|a| a == "--optimize") {
-        let mode = parse_mode(rest)?;
-        let opt = loopmem::core::optimize_program_with_threads(&program, mode, threads)
-            .map_err(|e| e.to_string())?;
-        println!();
-        println!(
-            "batch optimize    : whole-program MWS {} -> {}",
-            opt.mws_before, opt.mws_after
-        );
-        for (k, (before, after)) in opt.per_nest.iter().enumerate() {
-            println!("  nest{k}: single-nest MWS {before} -> {after}");
-        }
-    }
-    Ok(())
-}
-
-/// Budgeted pipeline analysis: every nest reports an outcome
-/// (exact / bounded / failed) and the whole run shares one deadline and
-/// one cumulative iteration budget. Always exits 0 — a degraded answer
-/// is still an answer.
-fn cmd_pipeline_governed(
-    program: &loopmem::ir::Program,
-    threads: usize,
-    budget: &AnalysisBudget,
-    rest: &[String],
-) -> Result<(), String> {
-    println!(
-        "nests             : {} ({} worker threads, governed)",
-        program.len(),
-        threads
-    );
-    println!("declared storage  : {} words", program.default_memory());
-    let gov = match loopmem::sim::try_simulate_program_with_threads(program, threads, budget) {
+    let gov = match session.simulate_program(&program) {
         Ok(gov) => gov,
         Err(e) => return report_governed_failure(&e),
     };
-    if gov.mws_bounds.is_exact() {
+    if gov.all_exact() {
         println!("outcome           : exact");
-        println!("whole-program MWS : {} words", gov.mws_bounds.lower);
+        println!(
+            "distinct touched  : {} words",
+            gov.sim.distinct.values().sum::<u64>()
+        );
+        println!(
+            "whole-program MWS : {} words (peak inside nest {})",
+            gov.sim.mws_total, gov.sim.peak_nest
+        );
+        for (k, live) in gov.sim.boundary_live.iter().enumerate() {
+            println!("boundary {}->{}      : {} words live", k, k + 1, live);
+        }
     } else {
         println!("outcome           : bounded");
         println!("whole-program MWS : in {}", gov.mws_bounds);
     }
-    let emit_cert = CommonOpts::path_flag(rest, "--emit-cert")?;
-    let want_certs = emit_cert.is_some();
     let mut certs = Vec::new();
     for (k, r) in gov.per_nest.iter().enumerate() {
         match r {
             Ok(iters) => {
-                println!("  nest{k} : exact ({iters} iterations)");
-                if want_certs {
-                    // The nest simulated within budget, so re-deriving its
-                    // MWS through the memo is affordable.
-                    let mws = loopmem::core::nest_mws_memoized(&program.nests()[k]);
-                    certs.push(loopmem::core::certify_bounds(
-                        Some(k),
-                        "nest-mws",
-                        &loopmem::ir::Bounds::exact(mws),
-                        "exact simulation (governed pipeline)",
-                    ));
-                }
+                let mws = gov.sim.per_nest_mws[k];
+                println!("  nest{k} : exact ({iters} iterations, MWS {mws})");
+                certs.push(loopmem::core::certify_bounds(
+                    Some(k),
+                    "nest-mws",
+                    &loopmem::ir::Bounds::exact(mws),
+                    "exact simulation (pipeline pass 1)",
+                ));
             }
             Err(e) => {
                 match e {
@@ -1196,22 +1077,32 @@ fn cmd_pipeline_governed(
                     AnalysisError::Overflow { .. } => println!("  nest{k} : overflow; {e}"),
                     _ => println!("  nest{k} : failed; {e}"),
                 }
-                if want_certs {
-                    certs.push(loopmem::core::certify_degraded(k, &program.nests()[k], e));
-                }
+                certs.push(loopmem::core::certify_degraded(k, &program.nests()[k], e));
             }
         }
     }
-    emit_certs(emit_cert.as_deref(), &certs)?;
+    emit_certs(opts.emit_cert.as_deref(), &certs)?;
+    // Fusion legality sweeps both nests' traces, which is affordable
+    // exactly when the budget already covered the whole program.
+    if gov.all_exact() {
+        for k in 0..program.len().saturating_sub(1) {
+            match loopmem::core::fuse(&program, k) {
+                Ok(_) => println!("nests {k}+{}: fusable (try --fuse {k})", k + 1),
+                Err(e) => println!("nests {k}+{}: not fusable ({e})", k + 1),
+            }
+        }
+    }
     if rest.iter().any(|a| a == "--optimize") {
-        let mode = parse_mode(rest)?;
         println!();
-        if let Some(sink) = budget.trace() {
+        if let Some(sink) = &trace_sink {
             // A fresh epoch keeps the optimize stage's events ordered
             // after the simulation's in the drained stream.
-            sink.begin_epoch();
+            (sink.clone() as Arc<dyn TraceSink>).begin_epoch();
         }
-        match loopmem::core::try_optimize_program_with_threads(program, mode, threads, budget) {
+        match session
+            .search_mode(parse_mode(rest)?)
+            .optimize_program(&program)
+        {
             Ok(opt) => {
                 println!(
                     "batch optimize    : whole-program MWS {} -> {}",
@@ -1229,13 +1120,16 @@ fn cmd_pipeline_governed(
             Err(e) => return report_governed_failure(&e),
         }
     }
+    if let Some(sink) = &trace_sink {
+        opts.write_trace(sink)?;
+    }
     Ok(())
 }
 
 /// `loopmem scratchpad`: size one shared scratchpad over the whole
 /// program (`loopmem_core::scratchpad`). Bare `--fuse` runs the greedy
-/// fusion search; budget flags make the run governed, degrading to a
-/// size interval (`outcome : bounded`) instead of crashing.
+/// fusion search. A tripped budget degrades to a size interval
+/// (`outcome : bounded`) instead of crashing.
 fn cmd_scratchpad(rest: &[String]) -> Result<(), String> {
     let opts = CommonOpts::parse(rest)?;
     // `--fuse` is a bare switch here, unlike pipeline's `--fuse k`.
@@ -1250,91 +1144,71 @@ fn cmd_scratchpad(rest: &[String]) -> Result<(), String> {
         .ok_or("missing <file.loop> argument")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let program = loopmem::ir::parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-    let threads = opts.threads;
     let want_fuse = rest.iter().any(|a| a == "--fuse");
     println!(
         "nests             : {} ({} worker threads)",
         program.len(),
-        threads
+        opts.threads
     );
     println!("declared storage  : {} words", program.default_memory());
-
-    if opts.budget.is_some() || opts.trace.is_some() {
-        let mut budget = opts
-            .budget
-            .clone()
-            .unwrap_or_else(AnalysisBudget::unlimited);
-        let trace_sink = opts.trace_sink();
-        if let Some(sink) = &trace_sink {
-            budget = budget.with_trace(sink.clone() as Arc<dyn TraceSink>);
-        }
-        let r = if want_fuse {
-            loopmem::core::try_scratchpad_with_fusion(&program, threads, &budget)
-        } else {
-            loopmem::core::try_scratchpad_program_with_threads(&program, threads, &budget)
-                .map(|g| (g, None))
-        };
-        let (gov, plan) = match r {
-            Ok(x) => x,
-            Err(e) => return report_governed_failure(&e),
-        };
-        if gov.all_exact() {
-            println!("outcome           : exact");
-            print_scratchpad_sizing(&gov.sizing);
-        } else {
-            println!("outcome           : bounded");
-            println!(
-                "scratchpad        : <= {} words (slack {}; in {})",
-                gov.words.upper,
-                gov.words.slack(),
-                gov.words
-            );
-            println!("whole-program MWS : >= {} words", gov.sizing.program_mws);
-            for (k, r) in gov.per_nest.iter().enumerate() {
-                match r {
-                    Ok(t) => println!(
-                        "  nest{k} : mws {} + live-through {} = {}",
-                        t.mws,
-                        t.live_through,
-                        t.words()
-                    ),
-                    Err(AnalysisError::Exhausted { reason, partial }) => {
-                        println!("  nest{k} : bounded {partial}; budget exhausted ({reason})");
-                    }
-                    Err(e @ AnalysisError::Overflow { .. }) => {
-                        println!("  nest{k} : overflow; {e}")
-                    }
-                    Err(e) => println!("  nest{k} : failed; {e}"),
-                }
-            }
-        }
-        if want_fuse {
-            match &plan {
-                Some(p) => print_scratchpad_plan(p),
-                None => println!("fusion            : skipped (baseline not exact)"),
-            }
-        }
-        let mut certs = loopmem::core::certify_governed_scratchpad(&gov);
-        if let Some(p) = &plan {
-            certs.push(loopmem::core::certify_fusion(p));
-        }
-        emit_certs(opts.emit_cert.as_deref(), &certs)?;
-        if let Some(sink) = &trace_sink {
-            opts.write_trace(sink)?;
-        }
-        return Ok(());
+    let trace_sink = opts.trace_sink();
+    let mut session = opts.session();
+    if let Some(sink) = &trace_sink {
+        session = session.trace(sink.clone() as Arc<dyn TraceSink>);
     }
-
-    let sizing = loopmem::core::scratchpad_program_with_threads(&program, threads);
-    println!("outcome           : exact");
-    print_scratchpad_sizing(&sizing);
-    let mut certs = vec![loopmem::core::certify_sizing(&sizing)];
+    let r = if want_fuse {
+        session.scratchpad(&program)
+    } else {
+        session.scratchpad_sizing(&program).map(|g| (g, None))
+    };
+    let (gov, plan) = match r {
+        Ok(x) => x,
+        Err(e) => return report_governed_failure(&e),
+    };
+    if gov.all_exact() {
+        println!("outcome           : exact");
+        print_scratchpad_sizing(&gov.sizing);
+    } else {
+        println!("outcome           : bounded");
+        println!(
+            "scratchpad        : <= {} words (slack {}; in {})",
+            gov.words.upper,
+            gov.words.slack(),
+            gov.words
+        );
+        println!("whole-program MWS : >= {} words", gov.sizing.program_mws);
+        for (k, r) in gov.per_nest.iter().enumerate() {
+            match r {
+                Ok(t) => println!(
+                    "  nest{k} : mws {} + live-through {} = {}",
+                    t.mws,
+                    t.live_through,
+                    t.words()
+                ),
+                Err(AnalysisError::Exhausted { reason, partial }) => {
+                    println!("  nest{k} : bounded {partial}; budget exhausted ({reason})");
+                }
+                Err(e @ AnalysisError::Overflow { .. }) => {
+                    println!("  nest{k} : overflow; {e}")
+                }
+                Err(e) => println!("  nest{k} : failed; {e}"),
+            }
+        }
+    }
     if want_fuse {
-        let plan = loopmem::core::scratchpad_with_fusion(&program, threads);
-        print_scratchpad_plan(&plan);
-        certs.push(loopmem::core::certify_fusion(&plan));
+        match &plan {
+            Some(p) => print_scratchpad_plan(p),
+            None => println!("fusion            : skipped (baseline not exact)"),
+        }
+    }
+    let mut certs = loopmem::core::certify_governed_scratchpad(&gov);
+    if let Some(p) = &plan {
+        certs.push(loopmem::core::certify_fusion(p));
     }
     emit_certs(opts.emit_cert.as_deref(), &certs)?;
+    if let Some(sink) = &trace_sink {
+        opts.write_trace(sink)?;
+    }
     Ok(())
 }
 

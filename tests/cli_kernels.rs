@@ -1,9 +1,8 @@
 //! The `kernels/*.loop` files shipped for the CLI stay valid and keep the
 //! properties their comments advertise.
 
-use loopmem::core::optimize::{minimize_mws, SearchMode};
 use loopmem::ir::parse;
-use loopmem::sim::simulate;
+use loopmem::Session;
 use std::fs;
 
 fn load(name: &str) -> loopmem::ir::LoopNest {
@@ -34,8 +33,8 @@ fn all_kernel_files_parse() {
 #[test]
 fn example8_file_matches_its_comment() {
     let nest = load("example8.loop");
-    assert_eq!(simulate(&nest).mws_total, 44);
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    assert_eq!(Session::new().simulate(&nest).unwrap().mws_total, 44);
+    let opt = Session::new().optimize(&nest).expect("search succeeds");
     assert_eq!(opt.mws_after, 21);
     assert_eq!(opt.transform.row(0), &[2, 3]);
 }
@@ -43,12 +42,12 @@ fn example8_file_matches_its_comment() {
 #[test]
 fn matmult_file_matches_its_comment() {
     let nest = load("matmult.loop");
-    assert_eq!(simulate(&nest).mws_total, 273);
+    assert_eq!(Session::new().simulate(&nest).unwrap().mws_total, 273);
 }
 
 #[test]
 fn rasta_file_improves_64x() {
     let nest = load("rasta_flt.loop");
-    let opt = minimize_mws(&nest, SearchMode::default()).expect("search succeeds");
+    let opt = Session::new().optimize(&nest).expect("search succeeds");
     assert!(opt.mws_before >= 64 * opt.mws_after);
 }

@@ -7,7 +7,7 @@ use loopmem::core::estimate_distinct;
 use loopmem::ir::{parse, ArrayId};
 use loopmem::linalg::Lcg;
 use loopmem::poly::count::distinct_accesses_for;
-use loopmem::sim::simulate;
+use loopmem::Session;
 
 /// Random single-reference 1-D access `A[p*i + q*j + c]` over a random box.
 fn nullspace_case(rng: &mut Lcg) -> String {
@@ -66,7 +66,7 @@ fn nullspace_formula_matches_simulator() {
         let src = nullspace_case(&mut rng);
         let nest = parse(&src).expect("generated source parses");
         let est = estimate_distinct(&nest)[&ArrayId(0)];
-        let sim = simulate(&nest);
+        let sim = Session::new().simulate(&nest).unwrap();
         assert_eq!(est.value().unwrap() as u64, sim.distinct_total(), "{src}");
     }
 }
@@ -82,7 +82,11 @@ fn two_ref_full_rank_formula_is_exact() {
         let est = estimate_distinct(&nest)[&ArrayId(0)];
         let exact = distinct_accesses_for(&nest, ArrayId(0)) as i64;
         assert_eq!(est.value().unwrap(), exact, "{src}");
-        assert_eq!(exact as u64, simulate(&nest).distinct_total(), "{src}");
+        assert_eq!(
+            exact as u64,
+            Session::new().simulate(&nest).unwrap().distinct_total(),
+            "{src}"
+        );
     }
 }
 
@@ -92,7 +96,7 @@ fn window_never_exceeds_distinct() {
     for _ in 0..64 {
         let src = full_rank_case(&mut rng);
         let nest = parse(&src).expect("generated source parses");
-        let sim = simulate(&nest);
+        let sim = Session::new().simulate(&nest).unwrap();
         assert!(sim.mws_total <= sim.distinct_total(), "{src}");
         for stats in sim.per_array.values() {
             assert!(stats.mws <= stats.distinct, "{src}");
@@ -108,7 +112,11 @@ fn enumeration_and_simulation_always_agree() {
         let src = full_rank_case(&mut rng);
         let nest = parse(&src).expect("generated source parses");
         let by_poly = distinct_accesses_for(&nest, ArrayId(0));
-        let by_sim = simulate(&nest).array(ArrayId(0)).distinct;
+        let by_sim = Session::new()
+            .simulate(&nest)
+            .unwrap()
+            .array(ArrayId(0))
+            .distinct;
         assert_eq!(by_poly, by_sim, "{src}");
     }
 }

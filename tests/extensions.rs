@@ -2,17 +2,14 @@
 //! symbolic formulas, inclusion–exclusion counting, programs, fusion,
 //! tiling, direction vectors, and the replacement/layout machinery.
 
-use loopmem::core::optimize::SearchMode;
 use loopmem::core::{
     analyze_program, distinct_formulas, estimate_distinct, estimate_distinct_exact,
-    estimate_nest_mws, fuse, optimize_program, tile,
+    estimate_nest_mws, fuse, tile,
 };
 use loopmem::dep::{direction_vector, Direction};
 use loopmem::ir::{parse, parse_program, print_program, ArrayId};
-use loopmem::sim::{
-    line_analysis, min_perfect_capacity, simulate, simulate_program, Layout, Policy,
-    ReuseHistogram, Trace,
-};
+use loopmem::sim::{line_analysis, min_perfect_capacity, Layout, Policy, ReuseHistogram, Trace};
+use loopmem::Session;
 use std::collections::HashMap;
 
 #[test]
@@ -68,14 +65,14 @@ fn fusion_then_program_optimization_compose() {
          for i = 2 to 12 { for j = 1 to 12 { C[i][j] = A[i][j]; } }",
     )
     .unwrap();
-    let before = analyze_program(&p);
+    let before = analyze_program(&Session::new(), &p).unwrap();
     // Nests conform (2..12 x 1..12) and A flows forward: fusable.
     let fused = fuse(&p, 0).unwrap();
-    let mid = analyze_program(&fused);
+    let mid = analyze_program(&Session::new(), &fused).unwrap();
     assert!(mid.mws_exact <= before.mws_exact);
     // Per-nest optimization still applies to the fused program.
-    let opt = optimize_program(&fused, SearchMode::default()).unwrap();
-    assert!(opt.mws_after <= opt.mws_before);
+    let opt = Session::new().optimize_program(&fused).unwrap();
+    assert!(opt.mws_after.upper <= opt.mws_before.upper);
 }
 
 #[test]
@@ -95,8 +92,11 @@ fn tiled_nest_is_still_analyzable_end_to_end() {
     .unwrap();
     let tiled = tile(&nest, &[5, 5]).unwrap();
     // Simulator, estimators, and trace tools all accept the tiled nest.
-    let s = simulate(&tiled);
-    assert_eq!(s.distinct_total(), simulate(&nest).distinct_total());
+    let s = Session::new().simulate(&tiled).unwrap();
+    assert_eq!(
+        s.distinct_total(),
+        Session::new().simulate(&nest).unwrap().distinct_total()
+    );
     let t = Trace::from_nest(&tiled);
     let h = ReuseHistogram::from_trace(&t);
     assert_eq!(h.cold(), t.distinct() as u64);
@@ -138,5 +138,5 @@ fn closed_form_nest_mws_covers_the_kernel_suite() {
 fn simulate_program_of(nest: &loopmem::ir::LoopNest) -> u64 {
     // Exercise the program path even for single nests.
     let p = loopmem::ir::Program::new(vec![nest.clone()]).unwrap();
-    simulate_program(&p).mws_total
+    Session::new().simulate_program(&p).unwrap().sim.mws_total
 }

@@ -1,16 +1,15 @@
 //! End-to-end reproduction of every worked example in the paper, driven
 //! through the `loopmem` facade exactly as a downstream user would.
 
-use loopmem::core::optimize::{minimize_mws, OptimizeError, SearchMode};
 use loopmem::core::{
     analyze_memory, apply_transform, estimate_distinct, three_level_estimate, two_level_estimate,
-    two_level_objective,
+    two_level_objective, SearchMode,
 };
 use loopmem::dep::{analyze, reuse_vectors};
-use loopmem::ir::{parse, ArrayId};
+use loopmem::ir::{parse, AnalysisError, ArrayId};
 use loopmem::linalg::{IMat, Rational};
 use loopmem::poly::count::distinct_accesses_for;
-use loopmem::sim::simulate;
+use loopmem::Session;
 
 #[test]
 fn example_1_reuse_area_is_56() {
@@ -21,10 +20,10 @@ fn example_1_reuse_area_is_56() {
             .unwrap();
     let b = parse("array A[51]\nfor i = 1 to 10 { for j = 1 to 10 { A[2i + 3j]; } }").unwrap();
     // 1(a): 2 refs, one dependence: accesses - distinct = reuse.
-    let sa = simulate(&a);
+    let sa = Session::new().simulate(&a).unwrap();
     assert_eq!(200 - sa.distinct_total(), 56);
     // 1(b): 1 ref: iterations - distinct = reuse.
-    let sb = simulate(&b);
+    let sb = Session::new().simulate(&b).unwrap();
     assert_eq!(100 - sb.distinct_total(), 56);
 }
 
@@ -63,7 +62,7 @@ fn examples_4_and_5_nullspace_formula_is_exact() {
         parse("array A[111]\nfor i = 1 to 20 { for j = 1 to 10 { A[2i + 5j + 1]; } }").unwrap();
     assert_eq!(estimate_distinct(&e4)[&ArrayId(0)].value(), Some(80));
     assert_eq!(distinct_accesses_for(&e4, ArrayId(0)), 80);
-    assert_eq!(simulate(&e4).distinct_total(), 80);
+    assert_eq!(Session::new().simulate(&e4).unwrap().distinct_total(), 80);
 
     let e5 = parse(
         "array A[61][51]\n\
@@ -96,10 +95,13 @@ fn example_7_compound_beats_interchange_and_reversal() {
     assert_eq!(two_level_estimate((2, -3), (1, 0), (20, 30)), 90);
     assert_eq!(two_level_estimate((2, -3), (0, 1), (20, 30)), 40);
     // Exact values.
-    assert_eq!(simulate(&nest).mws_total, 86);
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    assert_eq!(Session::new().simulate(&nest).unwrap().mws_total, 86);
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 1, "paper: the cost can be reduced to 1");
-    let baseline = minimize_mws(&nest, SearchMode::InterchangeReversal).unwrap();
+    let baseline = Session::new()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&nest)
+        .unwrap();
     assert_eq!(baseline.mws_after, 34, "best elementary order");
     assert!(opt.mws_after < baseline.mws_after);
 }
@@ -122,17 +124,25 @@ fn example_8_full_study() {
         two_level_objective((2, 5), (2, 3), (25, 10)),
         Rational::from(22)
     );
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 21);
     assert_eq!(opt.transform.row(0), &[2, 3], "the paper's leading row");
 
     // Li–Pingali cannot complete a legal transformation here.
-    assert_eq!(
-        minimize_mws(&nest, SearchMode::LiPingali).unwrap_err(),
-        OptimizeError::NoLegalTransform
+    let err = Session::new()
+        .search_mode(SearchMode::LiPingali)
+        .optimize(&nest)
+        .unwrap_err();
+    assert!(
+        matches!(&err, AnalysisError::Invalid { message }
+            if message == "no legal transformation in the search space"),
+        "{err:?}"
     );
     // Interchange/reversal cannot improve at all.
-    let ir = minimize_mws(&nest, SearchMode::InterchangeReversal).unwrap();
+    let ir = Session::new()
+        .search_mode(SearchMode::InterchangeReversal)
+        .optimize(&nest)
+        .unwrap();
     assert_eq!(ir.mws_after, ir.mws_before);
 }
 
@@ -153,7 +163,10 @@ fn example_9_eq2_tracks_simulated_windows() {
     ] {
         let t = IMat::from_rows(&rows);
         let est = two_level_estimate((2, 5), (t[(0, 0)], t[(0, 1)]), (25, 10));
-        let exact = simulate(&apply_transform(&nest, &t).unwrap()).mws_total as i64;
+        let exact = Session::new()
+            .simulate(&apply_transform(&nest, &t).unwrap())
+            .unwrap()
+            .mws_total as i64;
         assert!(
             exact <= est + 4,
             "estimate {est} far below exact {exact} for {rows:?}"
@@ -178,10 +191,10 @@ fn example_10_three_level_window() {
     assert_eq!(v.iter().map(|x| x.abs()).collect::<Vec<_>>(), vec![1, 3, 3]);
     assert_eq!(three_level_estimate((v[0], v[1], v[2]), (10, 20, 30)), 540);
     // §4.3: the access-matrix transformation collapses the window to 1.
-    let opt = minimize_mws(&nest, SearchMode::default()).unwrap();
+    let opt = Session::new().optimize(&nest).unwrap();
     assert_eq!(opt.mws_after, 1);
     // The memory analysis ties it together.
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&Session::new(), &nest).unwrap();
     assert_eq!(m.distinct_exact_total, 1869);
     assert!(m.mws_exact <= 540, "closed form is an upper estimate");
 }
@@ -199,7 +212,7 @@ fn section_2_3_uniformly_generated_example() {
     )
     .unwrap();
     assert!(loopmem::dep::uniform::is_uniformly_generated(&nest));
-    let m = analyze_memory(&nest);
+    let m = analyze_memory(&Session::new(), &nest).unwrap();
     assert!(m.mws_exact > 0);
     // Every element of Y is reused (read then written shifted by one).
     assert!(m.mws_per_array[&nest.array_by_name("Y").unwrap()] >= 1);

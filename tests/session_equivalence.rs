@@ -1,25 +1,26 @@
-//! Pins every legacy entry point to its `Session` equivalent: the
-//! governed `try_*` / `*_with_threads` zoo now delegates to
-//! [`loopmem::Session`], and these tests keep that delegation honest by
-//! asserting bit-identical results against a hand-built session. The
-//! ungoverned fast paths (which a `Session` with the default unlimited
-//! budget replaces) are pinned too, modulo the optimizer's process-wide
-//! memo (`cache_hits` is 0 on every governed path by contract).
+//! Golden answers for every [`loopmem::Session`] verb.
+//!
+//! `Session` is the only execution path. Before it was, each verb had an
+//! ungoverned twin and a `try_*` / `*_with_threads` wrapper, and these
+//! tests asserted bit-identical results between them. The answers those
+//! entry points gave were recorded as golden files under
+//! `tests/golden/session/` (one per test, named after it), so every value
+//! they pinned is still pinned: each test now checks the `Session` answer
+//! against its file at every thread count it used to sweep.
+//!
+//! Regenerate after an intentional change of answers with:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test session_equivalence
+//! ```
 
-use loopmem::core::{
-    minimize_mws_with_threads, optimize_program_with_threads, scratchpad_program_with_threads,
-    scratchpad_with_fusion, try_minimize_mws, try_minimize_mws_with_threads, try_optimize_program,
-    try_optimize_program_with_threads, try_scratchpad_program, try_scratchpad_program_with_threads,
-    try_scratchpad_with_fusion, SearchMode,
-};
+use loopmem::core::SearchMode;
 use loopmem::ir::{parse, parse_program, ArrayId, LoopNest, Program};
-use loopmem::sim::{
-    simulate_program_with_threads, simulate_with_threads, try_simulate, try_simulate_program,
-    try_simulate_program_with_threads, try_simulate_with_threads, AnalysisBudget, ArrayStats,
-    GovernedProgramSim, ProgramSimResult, SimResult,
-};
+use loopmem::sim::{AnalysisBudget, ArrayStats, GovernedProgramSim, ProgramSimResult, SimResult};
 use loopmem::Session;
 use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 fn example8() -> LoopNest {
     parse(
@@ -52,268 +53,261 @@ fn budget() -> AnalysisBudget {
     AnalysisBudget::unlimited().with_max_iterations(1_000_000)
 }
 
+fn golden_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/session")
+        .join(format!("{name}.txt"))
+}
+
+/// Compares `actual` with the golden file `name`, or rewrites the file
+/// under `UPDATE_GOLDEN`.
+fn golden(name: &str, actual: &str) {
+    let path = golden_path(name);
+    let actual = format!("{actual}\n");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e}; run with UPDATE_GOLDEN=1", path.display()));
+    assert_eq!(
+        actual,
+        expected,
+        "golden mismatch for {}; run with UPDATE_GOLDEN=1 after intentional changes",
+        path.display()
+    );
+}
+
 /// `SimResult` holds a `HashMap`, whose `Debug` order is unstable —
-/// compare through a sorted projection instead of the raw `Debug` string.
-fn sim_key(sim: &SimResult) -> (u64, u64, BTreeMap<ArrayId, ArrayStats>) {
-    (
-        sim.iterations,
-        sim.mws_total,
-        sim.per_array.iter().map(|(k, v)| (*k, v.clone())).collect(),
-    )
+/// render a sorted projection instead of the raw `Debug` string.
+fn sim_key(sim: &SimResult) -> String {
+    let per_array: BTreeMap<ArrayId, ArrayStats> =
+        sim.per_array.iter().map(|(k, v)| (*k, v.clone())).collect();
+    format!("{:?}", (sim.iterations, sim.mws_total, per_array))
 }
 
 /// Same story for `ProgramSimResult::distinct`: sort the per-array map,
 /// keep everything else as its (stable) `Debug` rendering.
-fn program_sim_key(sim: &ProgramSimResult) -> (String, BTreeMap<ArrayId, u64>) {
-    let sorted: BTreeMap<ArrayId, u64> = sim.distinct.iter().map(|(k, v)| (*k, *v)).collect();
-    let rest = format!(
-        "{:?} {:?} {:?} {:?} {:?} {:?}",
+fn program_sim_key(sim: &ProgramSimResult) -> String {
+    let distinct: BTreeMap<ArrayId, u64> = sim.distinct.iter().map(|(k, v)| (*k, *v)).collect();
+    format!(
+        "{:?} {:?} {:?} {:?} {:?} {:?} {:?}",
         sim.per_nest_iterations,
         sim.mws_total,
         sim.boundary_live,
         sim.peak_nest,
         sim.per_nest_mws,
-        sim.live_through
-    );
-    (rest, sorted)
+        sim.live_through,
+        distinct
+    )
 }
 
-fn governed_program_key(gov: &GovernedProgramSim) -> (String, (String, BTreeMap<ArrayId, u64>)) {
-    (
-        format!("{:?} {:?}", gov.per_nest, gov.mws_bounds),
-        program_sim_key(&gov.sim),
+fn governed_program_key(gov: &GovernedProgramSim) -> String {
+    format!(
+        "{:?} {:?}\n{}",
+        gov.per_nest,
+        gov.mws_bounds,
+        program_sim_key(&gov.sim)
     )
 }
 
 #[test]
 fn wrapper_try_simulate_matches_session() {
-    let nest = example8();
-    let b = budget();
-    let legacy = try_simulate(&nest, &b).unwrap();
-    let session = Session::new().budget(b.clone()).simulate(&nest).unwrap();
-    assert_eq!(sim_key(&legacy), sim_key(&session));
+    let session = Session::new()
+        .budget(budget())
+        .simulate(&example8())
+        .unwrap();
+    golden("wrapper_try_simulate", &sim_key(&session));
 }
 
 #[test]
 fn wrapper_try_simulate_with_threads_matches_session() {
-    let nest = example8();
-    let b = budget();
     for t in [1, 2, 4] {
-        let legacy = try_simulate_with_threads(&nest, false, t, &b).unwrap();
         let session = Session::new()
             .threads(t)
-            .budget(b.clone())
-            .simulate(&nest)
+            .budget(budget())
+            .simulate(&example8())
             .unwrap();
-        assert_eq!(sim_key(&legacy), sim_key(&session), "threads={t}");
+        golden("wrapper_try_simulate_with_threads", &sim_key(&session));
     }
 }
 
 #[test]
 fn ungoverned_simulate_matches_default_session() {
-    let nest = example8();
     for t in [1, 2, 4] {
-        let legacy = simulate_with_threads(&nest, false, t);
-        let session = Session::new().threads(t).simulate(&nest).unwrap();
-        assert_eq!(sim_key(&legacy), sim_key(&session), "threads={t}");
+        let session = Session::new().threads(t).simulate(&example8()).unwrap();
+        golden("ungoverned_simulate", &sim_key(&session));
     }
 }
 
 #[test]
 fn wrapper_try_simulate_program_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
-    let legacy = try_simulate_program(&program, &b).unwrap();
     let session = Session::new()
-        .budget(b.clone())
-        .simulate_program(&program)
+        .budget(budget())
+        .simulate_program(&three_nest_program())
         .unwrap();
-    assert_eq!(
-        governed_program_key(&legacy),
-        governed_program_key(&session)
+    golden(
+        "wrapper_try_simulate_program",
+        &governed_program_key(&session),
     );
 }
 
 #[test]
 fn wrapper_try_simulate_program_with_threads_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
     for t in [1, 2, 4] {
-        let legacy = try_simulate_program_with_threads(&program, t, &b).unwrap();
         let session = Session::new()
             .threads(t)
-            .budget(b.clone())
-            .simulate_program(&program)
+            .budget(budget())
+            .simulate_program(&three_nest_program())
             .unwrap();
-        assert_eq!(
-            governed_program_key(&legacy),
-            governed_program_key(&session),
-            "threads={t}"
+        golden(
+            "wrapper_try_simulate_program_with_threads",
+            &governed_program_key(&session),
         );
     }
 }
 
 #[test]
 fn ungoverned_simulate_program_matches_default_session() {
-    let program = three_nest_program();
-    let legacy = simulate_program_with_threads(&program, 2);
     let session = Session::new()
         .threads(2)
-        .simulate_program(&program)
+        .simulate_program(&three_nest_program())
         .unwrap();
     assert!(session.all_exact());
-    assert_eq!(program_sim_key(&legacy), program_sim_key(&session.sim));
+    golden(
+        "ungoverned_simulate_program",
+        &program_sim_key(&session.sim),
+    );
 }
 
 #[test]
 fn wrapper_try_minimize_mws_matches_session() {
-    let nest = example8();
-    let b = budget();
-    let legacy = try_minimize_mws(&nest, SearchMode::default(), &b).unwrap();
-    let session = Session::new().budget(b.clone()).optimize(&nest).unwrap();
-    assert_eq!(format!("{legacy:?}"), format!("{session:?}"));
+    let session = Session::new()
+        .budget(budget())
+        .optimize(&example8())
+        .unwrap();
+    golden("wrapper_try_minimize_mws", &format!("{session:?}"));
 }
 
 #[test]
 fn wrapper_try_minimize_mws_with_threads_matches_session() {
-    let nest = example8();
-    let b = budget();
     for t in [1, 2, 4] {
-        let legacy = try_minimize_mws_with_threads(&nest, SearchMode::default(), t, &b).unwrap();
         let session = Session::new()
             .threads(t)
-            .budget(b.clone())
-            .optimize(&nest)
+            .budget(budget())
+            .optimize(&example8())
             .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
+        golden(
+            "wrapper_try_minimize_mws_with_threads",
+            &format!("{session:?}"),
+        );
     }
 }
 
 #[test]
 fn ungoverned_minimize_mws_matches_default_session_modulo_memo() {
-    let nest = example8();
-    let legacy = minimize_mws_with_threads(&nest, SearchMode::default(), 2).unwrap();
-    let session = Session::new().threads(2).optimize(&nest).unwrap();
-    // The ungoverned path consults the process-wide memo (cache_hits may
-    // be non-zero); the governed path skips it by contract. Everything
-    // the caller acts on is identical.
-    assert_eq!(legacy.transform, session.transform);
-    assert_eq!(legacy.transformed, session.transformed);
-    assert_eq!(legacy.mws_before, session.mws_before);
-    assert_eq!(legacy.mws_after, session.mws_after);
-    assert_eq!(legacy.candidates_considered, session.candidates_considered);
-    assert_eq!(legacy.evaluated, session.evaluated);
-    assert_eq!(session.cache_hits, 0);
+    let session = Session::new()
+        .threads(2)
+        .search_mode(SearchMode::default())
+        .optimize(&example8())
+        .unwrap();
+    golden("ungoverned_minimize_mws", &format!("{session:?}"));
 }
 
 #[test]
 fn wrapper_try_optimize_program_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
-    let legacy = try_optimize_program(&program, SearchMode::default(), &b).unwrap();
     let session = Session::new()
-        .budget(b.clone())
-        .optimize_program(&program)
+        .budget(budget())
+        .optimize_program(&three_nest_program())
         .unwrap();
-    assert_eq!(format!("{legacy:?}"), format!("{session:?}"));
+    golden("wrapper_try_optimize_program", &format!("{session:?}"));
 }
 
 #[test]
 fn wrapper_try_optimize_program_with_threads_matches_session() {
-    let program = three_nest_program();
-    let b = budget();
     for t in [1, 2] {
-        let legacy =
-            try_optimize_program_with_threads(&program, SearchMode::default(), t, &b).unwrap();
         let session = Session::new()
             .threads(t)
-            .budget(b.clone())
-            .optimize_program(&program)
+            .budget(budget())
+            .optimize_program(&three_nest_program())
             .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
+        golden(
+            "wrapper_try_optimize_program_with_threads",
+            &format!("{session:?}"),
+        );
     }
 }
 
 #[test]
 fn ungoverned_optimize_program_matches_default_session() {
-    let program = three_nest_program();
-    let legacy = optimize_program_with_threads(&program, SearchMode::default(), 2).unwrap();
     let session = Session::new()
         .threads(2)
-        .optimize_program(&program)
+        .optimize_program(&three_nest_program())
         .unwrap();
-    assert_eq!(legacy.transformed, session.transformed);
-    assert_eq!(legacy.mws_before, session.mws_before.lower);
-    assert_eq!(legacy.mws_before, session.mws_before.upper);
-    assert_eq!(legacy.mws_after, session.mws_after.lower);
-    assert_eq!(legacy.mws_after, session.mws_after.upper);
-    let governed_per_nest: Vec<(u64, u64)> = session
-        .per_nest
-        .iter()
-        .map(|r| *r.as_ref().expect("unlimited budget cannot degrade"))
-        .collect();
-    assert_eq!(legacy.per_nest, governed_per_nest);
+    assert!(session.mws_before.is_exact() && session.mws_after.is_exact());
+    assert!(session.per_nest.iter().all(Result::is_ok));
+    golden("ungoverned_optimize_program", &format!("{session:?}"));
 }
 
 #[test]
 fn wrapper_try_scratchpad_program_matches_session() {
-    let program = fusion_program();
-    let b = budget();
-    let legacy = try_scratchpad_program(&program, &b).unwrap();
     let session = Session::new()
-        .budget(b.clone())
-        .scratchpad_sizing(&program)
+        .budget(budget())
+        .scratchpad_sizing(&fusion_program())
         .unwrap();
-    assert_eq!(format!("{legacy:?}"), format!("{session:?}"));
+    golden("wrapper_try_scratchpad_program", &format!("{session:?}"));
 }
 
 #[test]
 fn wrapper_try_scratchpad_program_with_threads_matches_session() {
-    let program = fusion_program();
-    let b = budget();
     for t in [1, 2, 4] {
-        let legacy = try_scratchpad_program_with_threads(&program, t, &b).unwrap();
         let session = Session::new()
             .threads(t)
-            .budget(b.clone())
-            .scratchpad_sizing(&program)
+            .budget(budget())
+            .scratchpad_sizing(&fusion_program())
             .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
+        golden(
+            "wrapper_try_scratchpad_program_with_threads",
+            &format!("{session:?}"),
+        );
     }
 }
 
 #[test]
 fn ungoverned_scratchpad_program_matches_default_session() {
-    let program = fusion_program();
-    let legacy = scratchpad_program_with_threads(&program, 2);
     let session = Session::new()
         .threads(2)
-        .scratchpad_sizing(&program)
+        .scratchpad_sizing(&fusion_program())
         .unwrap();
     assert!(session.all_exact());
-    assert_eq!(format!("{legacy:?}"), format!("{:?}", session.sizing));
+    golden(
+        "ungoverned_scratchpad_program",
+        &format!("{:?}", session.sizing),
+    );
 }
 
 #[test]
 fn wrapper_try_scratchpad_with_fusion_matches_session() {
-    let program = fusion_program();
-    let b = budget();
     for t in [1, 2] {
-        let legacy = try_scratchpad_with_fusion(&program, t, &b).unwrap();
         let session = Session::new()
             .threads(t)
-            .budget(b.clone())
-            .scratchpad(&program)
+            .budget(budget())
+            .scratchpad(&fusion_program())
             .unwrap();
-        assert_eq!(format!("{legacy:?}"), format!("{session:?}"), "threads={t}");
+        golden(
+            "wrapper_try_scratchpad_with_fusion",
+            &format!("{session:?}"),
+        );
     }
 }
 
 #[test]
 fn ungoverned_scratchpad_with_fusion_matches_default_session() {
-    let program = fusion_program();
-    let legacy = scratchpad_with_fusion(&program, 1);
-    let (_, plan) = Session::new().threads(1).scratchpad(&program).unwrap();
+    let (_, plan) = Session::new()
+        .threads(1)
+        .scratchpad(&fusion_program())
+        .unwrap();
     let plan = plan.expect("exact baseline runs the fusion search");
-    assert_eq!(format!("{legacy:?}"), format!("{plan:?}"));
+    golden("ungoverned_scratchpad_with_fusion", &format!("{plan:?}"));
 }

@@ -4,11 +4,12 @@
 //! `Lcg`), no external dependencies.
 
 use loopmem::core::apply_transform;
-use loopmem::core::optimize::{minimize_mws, SearchMode};
+use loopmem::core::SearchMode;
 use loopmem::dep::{analyze, is_legal};
 use loopmem::ir::parse;
 use loopmem::linalg::{IMat, Lcg};
-use loopmem::sim::{count_iterations, simulate};
+use loopmem::sim::count_iterations;
+use loopmem::Session;
 
 /// Random 2×2 unimodular matrices via products of elementary generators
 /// (skews and the signed swap), so every sample is exactly unimodular.
@@ -51,7 +52,10 @@ fn transformation_preserves_access_sets() {
         assert!(t.is_unimodular());
         let out = apply_transform(&nest, &t).expect("unimodular transforms apply");
         assert_eq!(count_iterations(&out), count_iterations(&nest), "{src}");
-        let (a, b) = (simulate(&nest), simulate(&out));
+        let (a, b) = (
+            Session::new().simulate(&nest).unwrap(),
+            Session::new().simulate(&out).unwrap(),
+        );
         assert_eq!(a.distinct_total(), b.distinct_total(), "{src}");
         // Per-array access counts are preserved too (same multiset of work).
         for (id, sa) in &a.per_array {
@@ -71,8 +75,8 @@ fn roundtrip_through_inverse_is_identity() {
         let fwd = apply_transform(&nest, &t).expect("forward");
         let back = apply_transform(&fwd, &t.unimodular_inverse().unwrap()).expect("inverse");
         assert_eq!(
-            simulate(&back).mws_total,
-            simulate(&nest).mws_total,
+            Session::new().simulate(&back).unwrap().mws_total,
+            Session::new().simulate(&nest).unwrap().mws_total,
             "{src}"
         );
     }
@@ -84,13 +88,19 @@ fn optimizer_never_regresses() {
     for _ in 0..24 {
         let src = small_nest(&mut rng);
         let nest = parse(&src).expect("generated source parses");
-        let opt = minimize_mws(&nest, SearchMode::default()).expect("identity is a candidate");
+        let opt = Session::new()
+            .optimize(&nest)
+            .expect("identity is a candidate");
         assert!(opt.mws_after <= opt.mws_before, "{src}");
         // The reported transformation is legal and reproduces mws_after.
         let deps = analyze(&nest);
         assert!(is_legal(&opt.transform, &deps), "{src}");
         let redo = apply_transform(&nest, &opt.transform).expect("reported T applies");
-        assert_eq!(simulate(&redo).mws_total, opt.mws_after, "{src}");
+        assert_eq!(
+            Session::new().simulate(&redo).unwrap().mws_total,
+            opt.mws_after,
+            "{src}"
+        );
     }
 }
 
@@ -100,8 +110,11 @@ fn interchange_reversal_is_never_better_than_compound() {
     for _ in 0..24 {
         let src = small_nest(&mut rng);
         let nest = parse(&src).expect("generated source parses");
-        let compound = minimize_mws(&nest, SearchMode::default()).expect("compound");
-        let baseline = minimize_mws(&nest, SearchMode::InterchangeReversal).expect("baseline");
+        let compound = Session::new().optimize(&nest).expect("compound");
+        let baseline = Session::new()
+            .search_mode(SearchMode::InterchangeReversal)
+            .optimize(&nest)
+            .expect("baseline");
         assert!(
             compound.mws_after <= baseline.mws_after,
             "compound {} vs baseline {} for {src}",
@@ -124,7 +137,7 @@ fn illegal_transformation_is_rejected_by_legality_not_by_apply() {
     let out = apply_transform(&nest, &interchange).unwrap();
     // … and preserves the access set even though it breaks dataflow order.
     assert_eq!(
-        simulate(&out).distinct_total(),
-        simulate(&nest).distinct_total()
+        Session::new().simulate(&out).unwrap().distinct_total(),
+        Session::new().simulate(&nest).unwrap().distinct_total()
     );
 }
