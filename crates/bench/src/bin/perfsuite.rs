@@ -20,7 +20,7 @@
 //! parallelism). On a single-CPU host the multi-thread sweep rows are
 //! skipped with a note — they would only report scheduler noise.
 
-use loopmem_bench::all_kernels;
+use loopmem_bench::{all_kernels, extended_kernels};
 use loopmem_core::{SearchMode, Session};
 use loopmem_ir::{parse, parse_program, LoopNest, Program};
 use loopmem_obs::NullSink;
@@ -568,6 +568,21 @@ fn main() {
                 mws,
             );
         }
+    }
+    // --- the §4 search on the 4-deep kernels -------------------------------
+    // Signed permutations, access-matrix completions and their skews are
+    // ranked by the closed form before the best few are simulated; these
+    // kernels set the cost of the whole `kernel-verify` request.
+    for k in all_kernels()
+        .into_iter()
+        .chain(extended_kernels())
+        .filter(|k| ["3step_log", "full_search", "conv2d"].contains(&k.name))
+    {
+        let nest = k.nest();
+        let session = Session::new().threads(nthreads);
+        let (ms, r) = time_median3(|| session.optimize(&nest));
+        let mws = r.as_ref().ok().map(|o| o.mws_after);
+        record(&mut rows, "optimize-compound", k.name, nthreads, ms, 0, mws);
     }
     // --- governed: a pathological nest under a budget ---------------------
     // A ~10¹² iteration stencil is unsimulatable at any thread count; the

@@ -111,17 +111,23 @@ impl IMat {
     /// Panics if `v.len() != self.ncols()` or on arithmetic overflow.
     pub fn mul_vec(&self, v: &[i64]) -> Vec<i64> {
         assert_eq!(v.len(), self.cols, "dimension mismatch in mul_vec");
-        (0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .zip(v)
-                    .map(|(&a, &b)| (a as i128) * (b as i128))
-                    .sum::<i128>()
-                    .try_into()
-                    .expect("mul_vec overflow")
-            })
-            .collect()
+        (0..self.rows).map(|i| self.row_dot(i, v)).collect()
+    }
+
+    /// Component `i` of `self * v` (row `i` dotted with `v`), computed in
+    /// `i128` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the product does not fit in `i64`.
+    pub fn row_dot(&self, i: usize, v: &[i64]) -> i64 {
+        self.row(i)
+            .iter()
+            .zip(v)
+            .map(|(&a, &b)| (a as i128) * (b as i128))
+            .sum::<i128>()
+            .try_into()
+            .expect("mul_vec overflow")
     }
 
     /// Exact determinant via the Bareiss fraction-free algorithm.

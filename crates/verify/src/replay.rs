@@ -160,12 +160,14 @@ fn walk(
 /// touched element; values are `(first, last)` stamps.
 type TouchMap = HashMap<(usize, Vec<i64>), (u64, u64)>;
 
+/// Stamps every element the nest touches into `global`, and into `local`
+/// too when the caller needs the nest's own touches.
 fn record_touches(
     nest: &LoopNest,
     clock: &mut u64,
     cap: u64,
     global: &mut TouchMap,
-    local: &mut TouchMap,
+    mut local: Option<&mut TouchMap>,
 ) -> bool {
     let mut t = *clock;
     let ok = for_each_iteration_capped(nest, cap, &mut |iter| {
@@ -176,11 +178,13 @@ fn record_touches(
                 return false;
             };
             let key = (r.array.0, idx);
-            global
-                .entry(key.clone())
-                .and_modify(|e| e.1 = t)
-                .or_insert((t, t));
-            local.entry(key).and_modify(|e| e.1 = t).or_insert((t, t));
+            if let Some(local) = local.as_deref_mut() {
+                local
+                    .entry(key.clone())
+                    .and_modify(|e| e.1 = t)
+                    .or_insert((t, t));
+            }
+            global.entry(key).and_modify(|e| e.1 = t).or_insert((t, t));
         }
         t += 1;
         true
@@ -218,8 +222,7 @@ fn sweep_mws(touches: &TouchMap, start: u64, end: u64) -> u64 {
 pub fn nest_mws(nest: &LoopNest, cap: u64) -> Option<u64> {
     let mut clock = 0u64;
     let mut global = TouchMap::new();
-    let mut local = TouchMap::new();
-    if !record_touches(nest, &mut clock, cap, &mut global, &mut local) {
+    if !record_touches(nest, &mut clock, cap, &mut global, None) {
         return None;
     }
     Some(sweep_mws(&global, 0, clock))
@@ -250,7 +253,7 @@ pub fn replay_program(program: &Program, cap: u64) -> Option<ProgramReplay> {
     for nest in program.nests() {
         let start = clock;
         let mut local = TouchMap::new();
-        if !record_touches(nest, &mut clock, cap, &mut global, &mut local) {
+        if !record_touches(nest, &mut clock, cap, &mut global, Some(&mut local)) {
             return None;
         }
         locals.push(local);

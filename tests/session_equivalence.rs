@@ -14,7 +14,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test session_equivalence
 //! ```
 
-use loopmem::core::SearchMode;
+use loopmem::core::{SearchMode, DEFAULT_MAX_ITERATIONS};
 use loopmem::ir::{parse, parse_program, ArrayId, LoopNest, Program};
 use loopmem::sim::{AnalysisBudget, ArrayStats, GovernedProgramSim, ProgramSimResult, SimResult};
 use loopmem::Session;
@@ -310,4 +310,62 @@ fn ungoverned_scratchpad_with_fusion_matches_default_session() {
         .unwrap();
     let plan = plan.expect("exact baseline runs the fusion search");
     golden("ungoverned_scratchpad_with_fusion", &format!("{plan:?}"));
+}
+
+/// The `kernel-verify` program set: the seven Figure-2 kernels, the five
+/// extended kernels and every `kernels/*.loop` file, sorted by name.
+fn kernel_programs() -> Vec<(String, Program)> {
+    let mut out: Vec<(String, Program)> = loopmem_bench::all_kernels()
+        .into_iter()
+        .chain(loopmem_bench::extended_kernels())
+        .map(|k| (k.name.to_string(), parse_program(k.source).unwrap()))
+        .collect();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("kernels");
+    let mut files: Vec<PathBuf> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .collect();
+    files.sort();
+    for path in files {
+        let name = format!("kernels/{}", path.file_name().unwrap().to_string_lossy());
+        let program = parse_program(&fs::read_to_string(&path).unwrap()).unwrap();
+        out.push((name, program));
+    }
+    out
+}
+
+/// The full per-nest `Optimization` of every `kernel-verify` program under
+/// `mode`, one block per nest, under the default iteration cap.
+fn kernel_optimizations(mode: SearchMode) -> String {
+    let session = Session::new()
+        .threads(1)
+        .budget(AnalysisBudget::unlimited().with_max_iterations(DEFAULT_MAX_ITERATIONS))
+        .search_mode(mode);
+    let mut out = String::new();
+    for (name, program) in kernel_programs() {
+        for (k, nest) in program.nests().iter().enumerate() {
+            out.push_str(&format!(
+                "== {name} nest {k}\n{:?}\n",
+                session.optimize(nest)
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn kernel_optimizations_compound() {
+    golden(
+        "kernel_optimizations_compound",
+        &kernel_optimizations(SearchMode::default()),
+    );
+}
+
+#[test]
+fn kernel_optimizations_interchange_reversal() {
+    golden(
+        "kernel_optimizations_interchange_reversal",
+        &kernel_optimizations(SearchMode::InterchangeReversal),
+    );
 }
